@@ -5,36 +5,32 @@ import "testing"
 func TestResolveEngine(t *testing.T) {
 	cases := []struct {
 		engine  string
-		dist    bool
 		threads int
 		want    string
 		wantErr bool
 	}{
-		{"", false, 1, "serial", false},
-		{"", false, 4, "parallel", false},
-		{"", true, 4, "dist", false},
-		{"", true, 1, "dist", false},
-		{"serial", false, 1, "serial", false},
-		{"parallel", false, 1, "parallel", false},
-		{"dist", false, 4, "dist", false},
-		{"dist", true, 4, "dist", false}, // alias agrees with the explicit flag
-		{"parallel", true, 4, "", true},  // alias contradicts the explicit flag
-		{"mpi", false, 1, "", true},
+		{"", 1, "serial", false},
+		{"", 4, "parallel", false},
+		{"serial", 1, "serial", false},
+		{"parallel", 1, "parallel", false},
+		{"dist", 4, "dist", false},
+		{"dist", 1, "dist", false},
+		{"mpi", 1, "", true},
 	}
 	for _, c := range cases {
-		got, err := resolveEngine(c.engine, c.dist, c.threads)
+		got, err := resolveEngine(c.engine, c.threads)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("resolveEngine(%q, %v, %d) accepted, want error", c.engine, c.dist, c.threads)
+				t.Errorf("resolveEngine(%q, %d) accepted, want error", c.engine, c.threads)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("resolveEngine(%q, %v, %d): %v", c.engine, c.dist, c.threads, err)
+			t.Errorf("resolveEngine(%q, %d): %v", c.engine, c.threads, err)
 			continue
 		}
 		if got != c.want {
-			t.Errorf("resolveEngine(%q, %v, %d) = %q, want %q", c.engine, c.dist, c.threads, got, c.want)
+			t.Errorf("resolveEngine(%q, %d) = %q, want %q", c.engine, c.threads, got, c.want)
 		}
 	}
 }

@@ -59,24 +59,32 @@ func TestClaimC1Shape(t *testing.T) {
 	}
 	// Correctness leg of the claim, on real threads: the full Figure-1
 	// thread grid runs through the concurrent sweep engine, and every
-	// point must land on the serial engine's board.
-	serial, err := life.NewGrid(64, 64, life.Torus)
-	if err != nil {
-		t.Fatal(err)
+	// point must land on the serial engine's board. A ByCols tile is a
+	// 64-column word block, so the 64-column board runs every column point
+	// on one tile; the 1024-column board (16 words) gives each thread
+	// count up to 16 its own column tiles.
+	sizes := [][2]int{{64, 64}, {64, 1024}}
+	want := map[[2]int]sweep.LifeResult{}
+	for _, sz := range sizes {
+		serial, err := life.NewGrid(sz[0], sz[1], life.Torus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Randomize(7, 0.3)
+		want[sz] = sweep.LifeResult{LiveUpdates: serial.RunCounted(10), Population: serial.Population()}
 	}
-	serial.Randomize(7, 0.3)
-	wantUpdates := serial.RunCounted(10)
-	cases := sweep.LifeGrid([][2]int{{64, 64}}, []int{2, 4, 8, 16}, []life.Partition{life.ByRows, life.ByCols}, 10, 7, 0.3)
+	cases := sweep.LifeGrid(sizes, []int{2, 4, 8, 16}, []life.Partition{life.ByRows, life.ByCols}, 10, 7, 0.3)
 	results, err := sweep.RunLifeGrid(context.Background(), 4, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, res := range results {
-		if res.Population != serial.Population() {
-			t.Errorf("%v diverged from serial: population %d, want %d", res.Case, res.Population, serial.Population())
+		w := want[[2]int{res.Case.Rows, res.Case.Cols}]
+		if res.Population != w.Population {
+			t.Errorf("%v diverged from serial: population %d, want %d", res.Case, res.Population, w.Population)
 		}
-		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates %d, serial counted %d", res.Case, res.LiveUpdates, wantUpdates)
+		if res.LiveUpdates != w.LiveUpdates {
+			t.Errorf("%v: LiveUpdates %d, serial counted %d", res.Case, res.LiveUpdates, w.LiveUpdates)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import "cs31/internal/memo"
 //
 // Each key space is salted with the endpoint name and cacheKeyVersion.
 // Bump the version whenever any simulator kernel changes observable
-// output; old entries then miss by construction instead of serving stale
-// bytes.
-const cacheKeyVersion = "1"
+// output or a key's field set changes; old entries then miss by
+// construction instead of serving stale bytes.
+const cacheKeyVersion = "2"
 
 func saltFor(endpoint string) string {
 	return "labd/" + endpoint + "/" + cacheKeyVersion
@@ -173,7 +173,7 @@ func lifeKey(_ *Server, req LifeRunRequest) (uint64, bool) {
 	k.Int("threads", int64(threads))
 	k.Str("partition", req.Partition)
 	k.Str("engine", req.Engine)
-	k.Bool("packed", req.Packed)
+	// req.Packed is accepted and ignored: every board is packed.
 	return k.Sum(), true
 }
 

@@ -383,6 +383,9 @@ func (s *Server) vmSim(_ context.Context, req VMSimRequest) (VMSimResponse, erro
 // worker pool, optionally measuring the Lab 10 speedup table. Engine
 // "dist" runs the message-passing DistRunner (Threads become ranks), so
 // the speedup table measures rank scaling with halo-exchange costs in.
+// Every engine advances the bit-packed board, so Packed is accepted for
+// compatibility with older clients and ignored: it changes neither the
+// response nor the cache key.
 type LifeRunRequest struct {
 	Rows      int     `json:"rows,omitempty"`      // default 32
 	Cols      int     `json:"cols,omitempty"`      // default 32
@@ -392,7 +395,7 @@ type LifeRunRequest struct {
 	Threads   int     `json:"threads,omitempty"`   // <=1 runs the serial engine
 	Partition string  `json:"partition,omitempty"` // rows|cols
 	Engine    string  `json:"engine,omitempty"`    // parallel (default) | dist
-	Packed    bool    `json:"packed,omitempty"`    // advance through the bit-packed SWAR kernel
+	Packed    bool    `json:"packed,omitempty"`    // accepted and ignored; every board is bit-packed
 	Speedup   bool    `json:"speedup,omitempty"`   // measure 1..Threads scaling
 }
 
@@ -472,12 +475,6 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		return resp, errBadRequest{err}
 	}
 	g.Randomize(seed, density)
-	if req.Packed {
-		// Randomize fills the byte board first, so packed and byte requests
-		// with the same seed share a starting board; Clone preserves the
-		// representation, so the speedup series below inherits it.
-		g.SetPacked(true)
-	}
 
 	if req.Speedup && req.Threads > 1 {
 		counts := []int{1}
@@ -549,7 +546,7 @@ func runLifeCtx(ctx context.Context, g *life.Grid, threads int, part life.Partit
 		}
 		return 0, nil
 	case dist:
-		dr := &life.DistRunner{G: g, Ranks: threads, Partition: part}
+		dr := &life.DistRunner{G: g, Ranks: threads}
 		st, err := dr.RunCtx(ctx, iters)
 		if err != nil {
 			return 0, err

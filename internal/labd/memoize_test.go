@@ -159,10 +159,11 @@ func TestCacheNormalizesDefaults(t *testing.T) {
 func TestCacheCoalescing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, DefaultTimeout: 30 * time.Second})
 
-	// ~100ms of serial life keeps the flight open while the waiters pile
-	// on; correctness does not depend on the timing, only the coalesced
-	// count does, and that is asserted as hits+coalesced.
-	body := []byte(`{"rows":32,"cols":32,"iters":2000,"seed":5}`)
+	// Tens of milliseconds of serial life (2000 generations of 1024
+	// 64-cell words) keep the flight open while the waiters pile on;
+	// correctness does not depend on the timing, only the coalesced count
+	// does, and that is asserted as hits+coalesced.
+	body := []byte(`{"rows":256,"cols":256,"iters":2000,"seed":5}`)
 
 	leaderDone := make(chan []byte, 1)
 	go func() {

@@ -1,10 +1,11 @@
 package life
 
-// Differential equivalence: the row-sliced kernel (Step / ParallelRunner
-// tiles) must be bit-for-bit identical to the per-cell reference path
-// (stepReference) for every edge mode, partition, grid shape — including
-// degenerate 1xN / Nx1 / 2x2 grids where torus wrapping double-counts
-// neighbors — and over many generations.
+// Differential equivalence: the SWAR kernel behind Step, RunCounted, and
+// the ParallelRunner tiles must be bit-for-bit identical to the per-cell
+// Lab 6 loop (stepReference) — boards AND live-update counts — for every
+// edge mode, partition, grid shape (including degenerate 1xN / Nx1 / 2x2
+// grids where torus wrapping double-counts neighbors), and over many
+// generations.
 
 import (
 	"fmt"
@@ -16,13 +17,15 @@ import (
 var allModes = []EdgeMode{Torus, DeadEdges, AliveEdges, MirrorEdges}
 
 // referenceRun advances a clone of g through n generations of the per-cell
-// reference implementation.
-func referenceRun(g *Grid, n int) *Grid {
+// reference loop and returns it with the number of cell state changes —
+// the oracle every engine's board and LiveUpdates are held to.
+func referenceRun(g *Grid, n int) (*Grid, int64) {
 	ref := g.Clone()
+	var changed int64
 	for i := 0; i < n; i++ {
-		ref.stepReference()
+		changed += ref.stepReference()
 	}
-	return ref
+	return ref, changed
 }
 
 func gridsMatch(t *testing.T, label string, got, want *Grid) {
@@ -35,6 +38,20 @@ func gridsMatch(t *testing.T, label string, got, want *Grid) {
 	}
 }
 
+// statsMatch holds a scale-out run's statistics to the reference run.
+func statsMatch(t *testing.T, label string, got *RunStats, wantUpdates int64, gens int) {
+	t.Helper()
+	if got.LiveUpdates != wantUpdates {
+		t.Errorf("%s: live updates %d, reference counted %d", label, got.LiveUpdates, wantUpdates)
+	}
+	if got.Rounds != gens {
+		t.Errorf("%s: rounds %d, want %d", label, got.Rounds, gens)
+	}
+}
+
+// TestStepMatchesReference steps the serial engine and the reference in
+// lockstep, one generation at a time, so a divergence is caught at the
+// generation it first appears.
 func TestStepMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 5}, {5, 2}, {3, 3}, {16, 16}, {13, 31}, {64, 17}}
 	for _, mode := range allModes {
@@ -46,9 +63,15 @@ func TestStepMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				g.Randomize(42, 0.35)
-				want := referenceRun(g, 8)
-				g.Run(8)
-				gridsMatch(t, "serial kernel", g, want)
+				ref := g.Clone()
+				for gen := 1; gen <= 8; gen++ {
+					g.Step()
+					ref.stepReference()
+					gridsMatch(t, fmt.Sprintf("serial kernel, generation %d", gen), g, ref)
+					if t.Failed() {
+						return
+					}
+				}
 			})
 		}
 	}
@@ -66,16 +89,14 @@ func TestParallelMatchesReference(t *testing.T) {
 					}
 					g.Randomize(7, 0.3)
 					const gens = 6
-					want := referenceRun(g, gens)
+					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
 					stats, err := pr.Run(gens)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gridsMatch(t, "parallel kernel", g, want)
-					if stats.Rounds != gens {
-						t.Errorf("rounds = %d, want %d", stats.Rounds, gens)
-					}
+					statsMatch(t, "parallel kernel", stats, wantUpdates, gens)
 				})
 			}
 		}
@@ -83,62 +104,55 @@ func TestParallelMatchesReference(t *testing.T) {
 }
 
 // TestParallelStatsMatchSerialKernel pins the LiveUpdates count the workers
-// report to the count the kernel computes serially.
+// report to the count the per-cell loop computes serially.
 func TestParallelStatsMatchSerialKernel(t *testing.T) {
 	g, err := NewGrid(24, 24, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(99, 0.4)
-	serial := g.Clone()
-	var serialChanged int64
 	const gens = 5
-	for i := 0; i < gens; i++ {
-		serialChanged += serial.stepBlock(0, serial.Rows, 0, serial.Cols)
-		serial.swap()
-	}
+	_, serialChanged := referenceRun(g, gens)
 	pr := &ParallelRunner{G: g, Threads: 4}
 	stats, err := pr.Run(gens)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.LiveUpdates != serialChanged {
-		t.Errorf("parallel LiveUpdates = %d, serial kernel counted %d", stats.LiveUpdates, serialChanged)
+		t.Errorf("parallel LiveUpdates = %d, serial loop counted %d", stats.LiveUpdates, serialChanged)
 	}
 }
 
 // TestParallelSurplusThreads runs with more threads than the partition
-// extent (labd accepts up to 64 threads on arbitrarily small grids). Surplus
-// workers own empty tiles and must touch nothing: before the empty-range
-// guard in stepBlock, a ByCols surplus worker recomputed the right edge
-// column for every row, racing with the owning tile (caught under -race)
-// and double-counting LiveUpdates. The grid is 9x5 so Threads=12 exceeds
-// both extents.
+// extent (labd accepts up to 64 threads on arbitrarily small grids).
+// Surplus threads must be clamped away, not left owning empty tiles that
+// could recompute or double-count an edge. The grid is 9x130 (3 words per
+// row) so Threads=12 exceeds both the row and the word extent.
 func TestParallelSurplusThreads(t *testing.T) {
 	for _, mode := range allModes {
 		for _, part := range []Partition{ByRows, ByCols} {
 			mode, part := mode, part
 			t.Run(fmt.Sprintf("%v/%v", mode, part), func(t *testing.T) {
-				g, err := NewGrid(9, 5, mode)
+				g, err := NewGrid(9, 130, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
 				g.Randomize(17, 0.35)
 				const gens = 6
-				serial := g.Clone()
-				var serialChanged int64
-				for i := 0; i < gens; i++ {
-					serialChanged += serial.stepBlock(0, serial.Rows, 0, serial.Cols)
-					serial.swap()
-				}
+				want, wantUpdates := referenceRun(g, gens)
 				pr := &ParallelRunner{G: g, Threads: 12, Partition: part}
 				stats, err := pr.Run(gens)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gridsMatch(t, "surplus threads", g, serial)
-				if stats.LiveUpdates != serialChanged {
-					t.Errorf("LiveUpdates = %d, serial kernel counted %d", stats.LiveUpdates, serialChanged)
+				gridsMatch(t, "surplus threads", g, want)
+				statsMatch(t, "surplus threads", stats, wantUpdates, gens)
+				extent := 9
+				if part == ByCols {
+					extent = 3
+				}
+				if stats.Workers != extent || pr.Threads != 12 {
+					t.Errorf("Workers = %d, Threads = %d; want %d workers and Threads left at 12", stats.Workers, pr.Threads, extent)
 				}
 			})
 		}
@@ -149,63 +163,60 @@ func TestParallelSurplusThreads(t *testing.T) {
 // zero-height block must report no changes and leave the scratch buffer
 // untouched, even when its bounds sit on the grid edge.
 func TestStepBlockEmptyRange(t *testing.T) {
-	g, err := NewGrid(6, 6, Torus)
+	g, err := NewGrid(6, 130, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(5, 0.5)
-	before := append([]uint8(nil), g.next...)
+	before := append([]uint64(nil), g.next...)
 	for _, blk := range [][4]int{
-		{0, g.Rows, g.Cols, g.Cols}, // surplus ByCols tile at the right edge
-		{g.Rows, g.Rows, 0, g.Cols}, // surplus ByRows tile at the bottom edge
-		{0, g.Rows, 3, 3},
-		{2, 2, 0, g.Cols},
+		{0, g.Rows, g.wpr, g.wpr},  // empty word tile at the right edge
+		{g.Rows, g.Rows, 0, g.wpr}, // empty row tile at the bottom edge
+		{0, g.Rows, 1, 1},
+		{2, 2, 0, g.wpr},
 	} {
-		if ch := g.stepBlock(blk[0], blk[1], blk[2], blk[3]); ch != 0 {
-			t.Errorf("stepBlock(%v) reported %d changes, want 0", blk, ch)
+		if ch := g.stepPackedBlock(blk[0], blk[1], blk[2], blk[3]); ch != 0 {
+			t.Errorf("stepPackedBlock(%v) reported %d changes, want 0", blk, ch)
 		}
 	}
 	for i := range before {
 		if g.next[i] != before[i] {
-			t.Fatalf("empty stepBlock wrote to scratch buffer at index %d", i)
+			t.Fatalf("empty stepPackedBlock wrote to scratch buffer at word %d", i)
 		}
 	}
 }
 
-// TestRunnerMatchesReferenceRunner holds the sharded one-barrier runner to
-// the retained two-barrier mutex-stats runner: same final grid, same
-// generation count, same LiveUpdates reduction, for every edge mode ×
-// partition × thread count (including surplus threads that both paths
-// clamp identically).
+// TestRunnerMatchesReferenceRunner drives one ParallelRunner through a run
+// in several Run calls of different lengths and holds the result to the
+// reference run: same board, same generation count, and LiveUpdates and
+// Rounds that sum to the reference's, with the runner's own fields never
+// rewritten between calls.
 func TestRunnerMatchesReferenceRunner(t *testing.T) {
 	for _, mode := range allModes {
 		for _, part := range []Partition{ByRows, ByCols} {
 			for _, threads := range []int{1, 2, 3, 5, 12} {
 				mode, part, threads := mode, part, threads
 				t.Run(fmt.Sprintf("%v/%v/threads-%d", mode, part, threads), func(t *testing.T) {
-					g, err := NewGrid(11, 7, mode)
+					g, err := NewGrid(11, 200, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
 					g.Randomize(23, 0.35)
-					ref := g.Clone()
-					const gens = 6
+					want, wantUpdates := referenceRun(g, 6)
 					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
-					stats, err := pr.Run(gens)
-					if err != nil {
-						t.Fatal(err)
+					var total RunStats
+					for _, gens := range []int{1, 2, 3} {
+						stats, err := pr.Run(gens)
+						if err != nil {
+							t.Fatal(err)
+						}
+						total.LiveUpdates += stats.LiveUpdates
+						total.Rounds += stats.Rounds
 					}
-					rr := &ParallelRunner{G: ref, Threads: threads, Partition: part, Reference: true}
-					refStats, err := rr.Run(gens)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gridsMatch(t, "sharded vs reference runner", g, ref)
-					if stats.LiveUpdates != refStats.LiveUpdates {
-						t.Errorf("LiveUpdates = %d, reference runner counted %d", stats.LiveUpdates, refStats.LiveUpdates)
-					}
-					if stats.Rounds != refStats.Rounds {
-						t.Errorf("Rounds = %d, reference runner counted %d", stats.Rounds, refStats.Rounds)
+					gridsMatch(t, "reused runner vs reference run", g, want)
+					statsMatch(t, "reused runner vs reference run", &total, wantUpdates, 6)
+					if pr.Threads != threads {
+						t.Errorf("runner's Threads rewritten to %d, want %d", pr.Threads, threads)
 					}
 				})
 			}

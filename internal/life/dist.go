@@ -20,12 +20,6 @@ const (
 	distTagDown  = 2 // a rank's bottom owned row, sent to the neighbor below
 )
 
-// distEagerCapacity is the inbox depth DistRunner worlds use: the halo
-// exchange posts both neighbor sends before receiving (the symmetric
-// pattern that deadlocks under rendezvous), so sends must buffer. Two
-// in-flight halos plus distribution traffic fit comfortably in 4.
-const distEagerCapacity = 4
-
 // DistRunner advances a grid with message-passing ranks — the distributed-
 // memory sibling of ParallelRunner. The grid is row-block sharded across a
 // msgpass world: each rank owns a contiguous band of rows in a private
@@ -33,18 +27,15 @@ const distEagerCapacity = 4
 // each generation, and the per-rank live-update counts meet in an
 // Allreduce. No rank ever touches another rank's memory; every byte that
 // crosses a shard boundary is a message, and the world's counters price
-// exactly that traffic.
+// exactly that traffic. Bands and halo rows travel as packed []uint64
+// words, so a halo row costs ceil(cols/64)*8 bytes on the wire (512 bytes
+// at cols=4096), and each band advances through the SWAR kernel.
 //
-// When the grid is packed (Grid.SetPacked), the whole protocol moves to the
-// bit-packed representation: row blocks and halo rows travel as []uint64
-// words, so a halo row costs ceil(cols/64)*8 bytes on the wire instead of
-// cols — an ~8x reduction (512 bytes instead of 4096 at cols=4096) — and
-// each band advances through the SWAR kernel.
+// The runner never writes its configuration fields: the rank count a run
+// actually uses is reported in RunStats.Workers.
 type DistRunner struct {
-	G         *Grid
-	Ranks     int
-	Capacity  int       // per-rank inbox depth; < 2 selects the eager default
-	Partition Partition // accepted for symmetry; only ByRows is supported
+	G     *Grid
+	Ranks int
 
 	// Chaos, when non-nil, arms seeded fault injection on the world: bounded
 	// delivery delays and rank stalls that perturb timing without touching
@@ -75,14 +66,14 @@ type DistRunner struct {
 // Protocol per rank: receive your row block from rank 0 (tagBlock), then
 // each generation send your top/bottom owned rows to your neighbors
 // (tagUp/tagDown), receive theirs into your halo rows, and advance your
-// band with the shared kernel (byte or SWAR, matching the grid's
-// representation); after the last generation, Allreduce the live-update
-// counts and send your block back to rank 0. Neighbor relationships wrap
-// into a ring under Torus and fall off the ends otherwise: a DeadEdges
-// boundary halo stays all-dead, an AliveEdges one is pinned all-live, and a
-// MirrorEdges one is refreshed each generation with the rank's own edge row
-// (the reflection). A rank that is its own neighbor (a single-rank torus)
-// copies its edge rows locally instead of messaging itself.
+// band with the SWAR kernel; after the last generation, Allreduce the
+// live-update counts and send your block back to rank 0. Neighbor
+// relationships wrap into a ring under Torus and fall off the ends
+// otherwise: a DeadEdges boundary halo stays all-dead, an AliveEdges one is
+// pinned all-live, and a MirrorEdges one is refreshed each generation with
+// the rank's own edge row (the reflection). A rank that is its own
+// neighbor (a single-rank torus) copies its edge rows locally instead of
+// messaging itself.
 func (dr *DistRunner) Run(n int) (*RunStats, error) {
 	return dr.RunCtx(context.Background(), n)
 }
@@ -127,22 +118,21 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	if dr.Ranks < 1 {
 		return nil, fmt.Errorf("life: need at least 1 rank")
 	}
-	if dr.Partition != ByRows {
-		return nil, fmt.Errorf("life: distributed runner shards by rows only")
-	}
 	g := dr.G
 	// Clamp to the row extent, the same surplus-worker discipline as
 	// ParallelRunner: ranks beyond Rows would own empty bands and only add
 	// exchange traffic.
-	if dr.Ranks > g.Rows {
-		dr.Ranks = g.Rows
-	}
-	ranks := dr.Ranks
-	capacity := dr.Capacity
-	if capacity < 2 {
-		capacity = distEagerCapacity
-	}
-	opts := []msgpass.Option{msgpass.WithCapacity(capacity)}
+	ranks := min(dr.Ranks, g.Rows)
+	// The world keeps msgpass.DefaultCapacity (16) inbox slots per rank.
+	// The halo exchange posts both sends before either receive, so it is
+	// deadlock-free only while no halo Send finds its destination's inbox
+	// full. A rank drains its inbox only inside Recv, and while it is still
+	// exchanging halos its inbox holds at most 8 messages: two generations
+	// of halo rows from each of its two neighbors (a neighbor cannot get a
+	// third generation ahead without this rank's halo), plus one reduce
+	// message from each of up to four collective-tree children that have
+	// already reached the closing Allreduce.
+	var opts []msgpass.Option
 	if dr.Chaos != nil {
 		opts = append(opts, msgpass.WithChaos(*dr.Chaos))
 	}
@@ -157,13 +147,9 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 		return nil, err
 	}
 
-	stats := &RunStats{}
-	body := dr.byteRank
-	if g.packed {
-		body = dr.packedRank
-	}
+	stats := &RunStats{Workers: ranks}
 	err = world.RunCtx(ctx, func(c *msgpass.Comm) error {
-		return body(c, n, stats)
+		return dr.runRank(c, ranks, n, stats)
 	})
 	// Record traffic counters even on a failed run: a canceled or deadlocked
 	// run's partial traffic is exactly what fault diagnosis wants to see.
@@ -174,20 +160,15 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	// Promote the assembled generation. One swap suffices: the Grid's
 	// buffers were never touched mid-run, only the scratch side at
 	// collection time.
-	if g.packed {
-		g.pcells, g.pnext = g.pnext, g.pcells
-	} else {
-		g.cells, g.next = g.next, g.cells
-	}
+	g.cells, g.next = g.next, g.cells
 	g.Generation += n
 	return stats, nil
 }
 
-// byteRank is one rank of the byte-representation protocol.
-func (dr *DistRunner) byteRank(c *msgpass.Comm, n int, stats *RunStats) error {
+// runRank is one rank of the protocol in a world of ranks ranks.
+func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) error {
 	g := dr.G
-	ranks := dr.Ranks
-	rows, cols, mode := g.Rows, g.Cols, g.Mode
+	rows, cols, mode, wpr := g.Rows, g.Cols, g.Mode, g.wpr
 	lane, nGen, nHalo := dr.traceHandles(c)
 	rank := c.Rank()
 	lo, hi := pthread.BlockRange(rank, ranks, rows)
@@ -197,191 +178,36 @@ func (dr *DistRunner) byteRank(c *msgpass.Comm, n int, stats *RunStats) error {
 	// rows are index 0 and band+1; owned rows are 1..band. Both parity
 	// buffers start zeroed, which is exactly the all-dead halo DeadEdges
 	// boundary ranks need forever (the kernel never writes halo rows).
-	src := make([]uint8, (band+2)*cols)
-	dst := make([]uint8, (band+2)*cols)
-	zero := make([]uint8, cols)
-	one := make([]uint8, cols)
-	for i := range one {
-		one[i] = 1
-	}
+	src := make([]uint64, (band+2)*wpr)
+	dst := make([]uint64, (band+2)*wpr)
+	zero := make([]uint64, wpr)
+	one := liveRow(cols)
 
 	// Distribute: rank 0 owns the grid and mails every other rank its
 	// band; its own band is a local copy.
 	if rank == 0 {
 		for r := 1; r < ranks; r++ {
 			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block := append([]uint8(nil), g.cells[rlo*cols:rhi*cols]...)
+			block := append([]uint64(nil), g.cells[rlo*wpr:rhi*wpr]...)
 			if err := msgpass.Send(c, r, distTagBlock, block); err != nil {
 				return err
 			}
 		}
-		copy(src[cols:(band+1)*cols], g.cells[lo*cols:hi*cols])
-	} else {
-		block, err := msgpass.Recv[[]uint8](c, 0, distTagBlock)
-		if err != nil {
-			return err
-		}
-		if len(block) != band*cols {
-			return fmt.Errorf("rank %d: block of %d cells, want %d", rank, len(block), band*cols)
-		}
-		copy(src[cols:(band+1)*cols], block)
-	}
-
-	up, down := distNeighbors(rank, ranks, mode)
-	// An AliveEdges boundary halo is pinned all-live in both parity buffers
-	// once: the kernel never writes halo rows and no message targets them.
-	if mode == AliveEdges {
-		if up < 0 {
-			copy(src[:cols], one)
-			copy(dst[:cols], one)
-		}
-		if down < 0 {
-			copy(src[(band+1)*cols:], one)
-			copy(dst[(band+1)*cols:], one)
-		}
-	}
-
-	var updates int64
-	for gen := 0; gen < n; gen++ {
-		lane.Begin(nGen)
-		lane.Begin(nHalo)
-		top := src[cols : 2*cols]                     // first owned row
-		bot := src[band*cols : (band+1)*cols]         // last owned row
-		haloTop := src[:cols]                         // row lo-1's image
-		haloBot := src[(band+1)*cols : (band+2)*cols] // row hi's image
-		if up == rank {                               // single-rank torus: both neighbors are us
-			copy(haloTop, bot)
-			copy(haloBot, top)
-		} else {
-			// Post both sends before either receive: under eager
-			// buffering the symmetric exchange cannot deadlock, and the
-			// payloads are copies, so a neighbor may apply them whenever
-			// it gets around to its own exchange. Then fill the halos —
-			// the neighbor above's bottom row arrives as tagDown, the
-			// one below's top row as tagUp.
-			if up >= 0 {
-				if err := msgpass.Send(c, up, distTagUp, append([]uint8(nil), top...)); err != nil {
-					return err
-				}
-			}
-			if down >= 0 {
-				if err := msgpass.Send(c, down, distTagDown, append([]uint8(nil), bot...)); err != nil {
-					return err
-				}
-			}
-			if up >= 0 {
-				row, err := msgpass.Recv[[]uint8](c, up, distTagDown)
-				if err != nil {
-					return err
-				}
-				copy(haloTop, row)
-			}
-			if down >= 0 {
-				row, err := msgpass.Recv[[]uint8](c, down, distTagUp)
-				if err != nil {
-					return err
-				}
-				copy(haloBot, row)
-			}
-		}
-		// A MirrorEdges boundary reflects the rank's own edge row into the
-		// halo; the reflection changes every generation, so refresh it on
-		// the current source parity.
-		if mode == MirrorEdges {
-			if up < 0 {
-				copy(haloTop, top)
-			}
-			if down < 0 {
-				copy(haloBot, bot)
-			}
-		}
-		lane.End(nHalo)
-		// The shared kernel over owned rows only. The local buffer is
-		// band+2 rows tall and the range [1, band+1) never reaches rows
-		// 0 or band+1 as a *computed* row, so rowIn never synthesizes a
-		// ghost — all vertical neighbor data comes from the exchanged or
-		// locally synthesized halos, while column edge behavior (mode)
-		// works exactly as on the full grid.
-		updates += stepSlices(src, dst, zero, one, band+2, cols, mode, 1, band+1, 0, cols)
-		lane.End(nGen)
-		src, dst = dst, src
-	}
-
-	// Stats meet in an Allreduce: every rank learns the global total,
-	// the root records it.
-	total, err := msgpass.Allreduce(c, updates, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		return err
-	}
-
-	// Collect: everyone mails the final band home; rank 0 assembles the
-	// next generation buffer (promoted to current after the world joins).
-	if rank == 0 {
-		copy(g.next[lo*cols:hi*cols], src[cols:(band+1)*cols])
-		for r := 1; r < ranks; r++ {
-			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block, err := msgpass.Recv[[]uint8](c, r, distTagBlock)
-			if err != nil {
-				return err
-			}
-			if len(block) != (rhi-rlo)*cols {
-				return fmt.Errorf("rank 0: block from %d has %d cells, want %d", r, len(block), (rhi-rlo)*cols)
-			}
-			copy(g.next[rlo*cols:rhi*cols], block)
-		}
-		stats.LiveUpdates = total
-		stats.Rounds = n
-	} else {
-		if err := msgpass.Send(c, 0, distTagBlock, append([]uint8(nil), src[cols:(band+1)*cols]...)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// packedRank is one rank of the bit-packed protocol: the same dance as
-// byteRank, but bands and halo rows are []uint64 words — ceil(cols/64)
-// words per row — so halo traffic shrinks ~8x and each band advances
-// through the SWAR kernel.
-func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error {
-	g := dr.G
-	ranks := dr.Ranks
-	rows, cols, mode, wpr := g.Rows, g.Cols, g.Mode, g.wpr
-	lane, nGen, nHalo := dr.traceHandles(c)
-	rank := c.Rank()
-	lo, hi := pthread.BlockRange(rank, ranks, rows)
-	band := hi - lo
-
-	src := make([]uint64, (band+2)*wpr)
-	dst := make([]uint64, (band+2)*wpr)
-	zero := make([]uint64, wpr)
-	one := make([]uint64, wpr)
-	for i := range one {
-		one[i] = ^uint64(0)
-	}
-	one[wpr-1] = lastWordMask(cols)
-
-	if rank == 0 {
-		for r := 1; r < ranks; r++ {
-			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block := append([]uint64(nil), g.pcells[rlo*wpr:rhi*wpr]...)
-			if err := msgpass.Send(c, r, distTagBlock, block); err != nil {
-				return err
-			}
-		}
-		copy(src[wpr:(band+1)*wpr], g.pcells[lo*wpr:hi*wpr])
+		copy(src[wpr:(band+1)*wpr], g.cells[lo*wpr:hi*wpr])
 	} else {
 		block, err := msgpass.Recv[[]uint64](c, 0, distTagBlock)
 		if err != nil {
 			return err
 		}
 		if len(block) != band*wpr {
-			return fmt.Errorf("rank %d: packed block of %d words, want %d", rank, len(block), band*wpr)
+			return fmt.Errorf("rank %d: block of %d words, want %d", rank, len(block), band*wpr)
 		}
 		copy(src[wpr:(band+1)*wpr], block)
 	}
 
 	up, down := distNeighbors(rank, ranks, mode)
+	// An AliveEdges boundary halo is pinned all-live in both parity buffers
+	// once: the kernel never writes halo rows and no message targets them.
 	if mode == AliveEdges {
 		if up < 0 {
 			copy(src[:wpr], one)
@@ -397,14 +223,20 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 	for gen := 0; gen < n; gen++ {
 		lane.Begin(nGen)
 		lane.Begin(nHalo)
-		top := src[wpr : 2*wpr]
-		bot := src[band*wpr : (band+1)*wpr]
-		haloTop := src[:wpr]
-		haloBot := src[(band+1)*wpr : (band+2)*wpr]
-		if up == rank {
+		top := src[wpr : 2*wpr]                     // first owned row
+		bot := src[band*wpr : (band+1)*wpr]         // last owned row
+		haloTop := src[:wpr]                        // row lo-1's image
+		haloBot := src[(band+1)*wpr : (band+2)*wpr] // row hi's image
+		if up == rank {                             // single-rank torus: both neighbors are us
 			copy(haloTop, bot)
 			copy(haloBot, top)
 		} else {
+			// Post both sends before either receive: with the inbox depth
+			// bounded in RunCtx the symmetric exchange cannot deadlock, and
+			// the payloads are copies, so a neighbor may apply them
+			// whenever it gets around to its own exchange. Then fill the
+			// halos — the neighbor above's bottom row arrives as tagDown,
+			// the one below's top row as tagUp.
 			if up >= 0 {
 				if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), top...)); err != nil {
 					return err
@@ -430,6 +262,9 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 				copy(haloBot, row)
 			}
 		}
+		// A MirrorEdges boundary reflects the rank's own edge row into the
+		// halo; the reflection changes every generation, so refresh it on
+		// the current source parity.
 		if mode == MirrorEdges {
 			if up < 0 {
 				copy(haloTop, top)
@@ -439,18 +274,28 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 			}
 		}
 		lane.End(nHalo)
+		// The kernel over owned rows only. The local buffer is band+2 rows
+		// tall and the range [1, band+1) never reaches rows 0 or band+1 as
+		// a *computed* row, so packedRowIn never synthesizes a ghost — all
+		// vertical neighbor data comes from the exchanged or locally
+		// synthesized halos, while column edge behavior (mode) works
+		// exactly as on the full grid.
 		updates += stepPackedSlices(src, dst, zero, one, band+2, cols, wpr, mode, 1, band+1, 0, wpr)
 		lane.End(nGen)
 		src, dst = dst, src
 	}
 
+	// Stats meet in an Allreduce: every rank learns the global total,
+	// the root records it.
 	total, err := msgpass.Allreduce(c, updates, func(a, b int64) int64 { return a + b })
 	if err != nil {
 		return err
 	}
 
+	// Collect: everyone mails the final band home; rank 0 assembles the
+	// next generation buffer (promoted to current after the world joins).
 	if rank == 0 {
-		copy(g.pnext[lo*wpr:hi*wpr], src[wpr:(band+1)*wpr])
+		copy(g.next[lo*wpr:hi*wpr], src[wpr:(band+1)*wpr])
 		for r := 1; r < ranks; r++ {
 			rlo, rhi := pthread.BlockRange(r, ranks, rows)
 			block, err := msgpass.Recv[[]uint64](c, r, distTagBlock)
@@ -458,9 +303,9 @@ func (dr *DistRunner) packedRank(c *msgpass.Comm, n int, stats *RunStats) error 
 				return err
 			}
 			if len(block) != (rhi-rlo)*wpr {
-				return fmt.Errorf("rank 0: packed block from %d has %d words, want %d", r, len(block), (rhi-rlo)*wpr)
+				return fmt.Errorf("rank 0: block from %d has %d words, want %d", r, len(block), (rhi-rlo)*wpr)
 			}
-			copy(g.pnext[rlo*wpr:rhi*wpr], block)
+			copy(g.next[rlo*wpr:rhi*wpr], block)
 		}
 		stats.LiveUpdates = total
 		stats.Rounds = n

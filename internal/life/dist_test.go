@@ -1,10 +1,10 @@
 package life
 
 // Differential equivalence for the distributed runner: row-block sharding
-// plus halo exchange must be bit-for-bit the serial engine — boards AND
-// live-update statistics — for every edge mode, shape, and rank count,
-// including the surplus-ranks > rows class (PR 3's surplus-thread bug,
-// re-tested here on the message-passing path).
+// plus halo exchange must be bit-for-bit the per-cell reference loop —
+// boards AND live-update statistics — for every edge mode, shape, and rank
+// count, including the surplus-ranks > rows class (the surplus-thread bug
+// class, re-tested here on the message-passing path).
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ func TestDistMatchesReference(t *testing.T) {
 					}
 					g.Randomize(42, 0.35)
 					const gens = 8
-					want := referenceRun(g, gens)
+					want, wantUpdates := referenceRun(g, gens)
 
 					dr := &DistRunner{G: g, Ranks: ranks}
 					stats, err := dr.Run(gens)
@@ -32,22 +32,7 @@ func TestDistMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					gridsMatch(t, "distributed vs reference", g, want)
-					if stats.Rounds != gens {
-						t.Errorf("rounds %d, want %d", stats.Rounds, gens)
-					}
-
-					// Live updates must equal the serial engine's count.
-					serial := want.Clone()
-					serial.Generation = 0
-					fresh, err := NewGrid(rows, cols, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fresh.Randomize(42, 0.35)
-					wantUpdates := fresh.RunCounted(gens)
-					if stats.LiveUpdates != wantUpdates {
-						t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
-					}
+					statsMatch(t, "distributed vs reference", stats, wantUpdates, gens)
 				})
 			}
 		}
@@ -93,7 +78,8 @@ func TestDistMatchesParallelRunner(t *testing.T) {
 }
 
 // TestDistSurplusRanks: more ranks than rows must clamp to the row extent
-// (the PR-3 surplus-worker regression class) and still be bit-for-bit.
+// (the surplus-worker regression class) and still be bit-for-bit. The
+// clamp is reported in RunStats.Workers; the runner's Ranks stays as set.
 func TestDistSurplusRanks(t *testing.T) {
 	for _, mode := range allModes {
 		for _, sh := range [][2]int{{1, 9}, {3, 5}, {5, 33}} {
@@ -105,47 +91,27 @@ func TestDistSurplusRanks(t *testing.T) {
 				}
 				g.Randomize(99, 0.4)
 				const gens = 5
-				want := referenceRun(g, gens)
-				fresh := g.Clone()
-				wantUpdates := fresh.RunCounted(gens)
+				want, wantUpdates := referenceRun(g, gens)
 
 				dr := &DistRunner{G: g, Ranks: 33}
 				stats, err := dr.Run(gens)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if dr.Ranks != rows {
-					t.Errorf("ranks clamped to %d, want %d", dr.Ranks, rows)
+				if stats.Workers != rows || dr.Ranks != 33 {
+					t.Errorf("Workers = %d, Ranks = %d; want %d workers and Ranks left at 33", stats.Workers, dr.Ranks, rows)
 				}
 				gridsMatch(t, "surplus ranks", g, want)
-				if stats.LiveUpdates != wantUpdates {
-					t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
-				}
+				statsMatch(t, "surplus ranks", stats, wantUpdates, gens)
 			})
 		}
 	}
 }
 
-// TestDistRendezvousCapacityUpgraded: a caller asking for capacity < 2
-// would deadlock the symmetric halo exchange, so the runner upgrades to its
-// eager default rather than hanging.
-func TestDistRendezvousCapacityUpgraded(t *testing.T) {
-	g, err := NewGrid(8, 8, Torus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Randomize(3, 0.3)
-	want := referenceRun(g, 4)
-	dr := &DistRunner{G: g, Ranks: 4, Capacity: 1}
-	if _, err := dr.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	gridsMatch(t, "capacity-upgraded run", g, want)
-}
-
 // TestDistCommStats sanity-checks the exposed traffic counters: a 4-rank
 // torus run must move exactly 2 halo rows per rank per generation plus the
-// distribution/collection blocks and the stats Allreduce.
+// distribution/collection blocks and the stats Allreduce. A 10-column row
+// is one 8-byte word on the wire.
 func TestDistCommStats(t *testing.T) {
 	g, err := NewGrid(16, 10, Torus)
 	if err != nil {
@@ -161,11 +127,12 @@ func TestDistCommStats(t *testing.T) {
 	if len(ws.PerRank) != ranks {
 		t.Fatalf("stats for %d ranks, want %d", len(ws.PerRank), ranks)
 	}
-	// Halo traffic: ranks * 2 rows * gens * cols bytes. Block traffic:
-	// 2*(ranks-1) messages of 4 rows * cols. Allreduce adds messages but
-	// only 8-byte payloads.
-	haloBytes := int64(ranks * 2 * gens * g.Cols)
-	blockBytes := int64(2 * (ranks - 1) * 4 * g.Cols)
+	// Halo traffic: ranks * 2 rows * gens * rowBytes. Block traffic:
+	// 2*(ranks-1) messages of 4 rows. Allreduce adds messages but only
+	// 8-byte payloads.
+	const rowBytes = 8
+	haloBytes := int64(ranks * 2 * gens * rowBytes)
+	blockBytes := int64(2 * (ranks - 1) * 4 * rowBytes)
 	wantMin := haloBytes + blockBytes
 	if ws.BytesSent < wantMin {
 		t.Errorf("world sent %d bytes, want >= %d", ws.BytesSent, wantMin)
@@ -186,11 +153,10 @@ func TestDistValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&DistRunner{G: g, Ranks: 0}).Run(1); err == nil {
-		t.Error("0 ranks accepted")
-	}
-	if _, err := (&DistRunner{G: g, Ranks: 2, Partition: ByCols}).Run(1); err == nil {
-		t.Error("ByCols partition accepted")
+	for _, ranks := range []int{0, -1} {
+		if _, err := (&DistRunner{G: g, Ranks: ranks}).Run(1); err == nil {
+			t.Errorf("%d ranks accepted", ranks)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package life
 
 // Fault-layer tests for the Life engines: chaos-injected stragglers and
 // full chaos matrices must leave the distributed runner bit-for-bit equal
-// to the serial engine (chaos perturbs timing, never results), and context
+// to the reference loop (chaos perturbs timing, never results), and context
 // cancellation must stop both scale-out engines promptly without leaking a
 // single worker goroutine.
 
@@ -33,9 +33,7 @@ func TestDistStragglerBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(7, 0.35)
-	want := referenceRun(g, gens)
-	serial := g.Clone()
-	wantUpdates := serial.RunCounted(gens)
+	want, wantUpdates := referenceRun(g, gens)
 
 	dr := &DistRunner{
 		G:     g,
@@ -60,7 +58,7 @@ func TestDistStragglerBitForBit(t *testing.T) {
 // TestDistChaosMatrix is the chaos acceptance matrix: seeds 1..20 by world
 // sizes {2, 8, 33} (33 > rows exercises the surplus-rank clamp), each run
 // under delivery-delay and stall injection plus an armed watchdog, each
-// checked bit-for-bit against the serial engine. Any ordering the chaos
+// checked bit-for-bit against the reference loop. Any ordering the chaos
 // schedules can legally produce must land on the same board.
 func TestDistChaosMatrix(t *testing.T) {
 	seeds := 20
@@ -73,9 +71,7 @@ func TestDistChaosMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.Randomize(31, 0.3)
-	want := referenceRun(fresh, gens)
-	serial := fresh.Clone()
-	wantUpdates := serial.RunCounted(gens)
+	want, wantUpdates := referenceRun(fresh, gens)
 
 	for seed := 1; seed <= seeds; seed++ {
 		for _, ranks := range []int{2, 8, 33} {
@@ -109,6 +105,46 @@ func TestDistChaosMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDistChaosHaloInboxBound is the regression test for a hang between
+// the halo exchange and the closing Allreduce. Chaos delays every send of
+// neighbors 5 and 6, so they fall behind while their children in the
+// fan-in-4 collective tree (ranks 21-28) finish early and park reduce
+// messages in 5's and 6's inboxes. Both halo sends of the exchange are
+// posted before either receive, so with an inbox of 4 messages ranks 5
+// and 6 could each block in a Send to the other; the watchdog then
+// reported "rank 5 send(peer 6, tag 2) -> rank 6 send(peer 5, tag 1)". The
+// world's default depth of 16 covers the 8-message worst case RunCtx
+// documents.
+func TestDistChaosHaloInboxBound(t *testing.T) {
+	const rows, cols, ranks, gens = 37, 130, 33, 8
+	start, err := NewGrid(rows, cols, DeadEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start.Randomize(42, 0.35)
+	want, wantUpdates := referenceRun(start, gens)
+	for seed := int64(1); seed <= 40; seed++ {
+		g := start.Clone()
+		dr := &DistRunner{
+			G:     g,
+			Ranks: ranks,
+			Chaos: &msgpass.Chaos{
+				Seed:      seed,
+				DelayProb: 1,
+				MaxDelay:  300 * time.Microsecond,
+				Ranks:     []int{5, 6},
+			},
+			Watchdog: 300 * time.Millisecond,
+		}
+		stats, err := dr.Run(gens)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		gridsMatch(t, fmt.Sprintf("seed %d", seed), g, want)
+		statsMatch(t, fmt.Sprintf("seed %d", seed), stats, wantUpdates, gens)
 	}
 }
 
@@ -161,55 +197,50 @@ func TestDistRunCtxCancel(t *testing.T) {
 // worker stranded at a barrier), leaving the grid on a whole-generation
 // boundary.
 func TestParallelRunCtxCancel(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		reference := reference
-		name := "tree"
-		if reference {
-			name = "reference"
+	// "tree" names the runner's combining-tree barrier, the one barrier
+	// every worker crosses once per generation.
+	t.Run("tree", func(t *testing.T) {
+		g, err := NewGrid(256, 256, Torus)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			g, err := NewGrid(256, 256, Torus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Randomize(5, 0.3)
-			baseline := pthread.Live()
+		g.Randomize(5, 0.3)
+		baseline := pthread.Live()
 
-			ctx, cancel := context.WithCancel(context.Background())
-			pr := &ParallelRunner{G: g, Threads: 4, Reference: reference}
-			done := make(chan error, 1)
-			go func() {
-				_, err := pr.RunCtx(ctx, 1_000_000)
-				done <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("got %v, want context.Canceled", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("canceled parallel run did not return (worker stranded at a barrier?)")
+		ctx, cancel := context.WithCancel(context.Background())
+		pr := &ParallelRunner{G: g, Threads: 4}
+		done := make(chan error, 1)
+		go func() {
+			_, err := pr.RunCtx(ctx, 1_000_000)
+			done <- err
+		}()
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
 			}
-			if g.Generation >= 1_000_000 {
-				t.Error("run completed despite cancellation")
-			}
-			waitForLiveThreads(t, baseline)
+		case <-time.After(10 * time.Second):
+			t.Fatal("canceled parallel run did not return (worker stranded at a barrier?)")
+		}
+		if g.Generation >= 1_000_000 {
+			t.Error("run completed despite cancellation")
+		}
+		waitForLiveThreads(t, baseline)
 
-			// The grid must sit on a whole-generation boundary: advancing
-			// the serial reference to the same generation reproduces it.
-			fresh, err := NewGrid(256, 256, Torus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh.Randomize(5, 0.3)
-			fresh.Run(g.Generation)
-			if !g.Equal(fresh) {
-				t.Error("canceled run left the grid off a generation boundary")
-			}
-		})
-	}
+		// The grid must sit on a whole-generation boundary: advancing
+		// the serial engine to the same generation reproduces it.
+		fresh, err := NewGrid(256, 256, Torus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Randomize(5, 0.3)
+		fresh.Run(g.Generation)
+		if !g.Equal(fresh) {
+			t.Error("canceled run left the grid off a generation boundary")
+		}
+	})
 }
 
 // TestParallelRunCtxPreCanceled: an already-canceled context refuses the
@@ -238,7 +269,7 @@ func TestDistWatchdogPassesCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(11, 0.3)
-	want := referenceRun(g, 5)
+	want, _ := referenceRun(g, 5)
 	dr := &DistRunner{G: g, Ranks: 4, Watchdog: 100 * time.Millisecond}
 	if _, err := dr.Run(5); err != nil {
 		t.Fatalf("watchdog tripped on a healthy run: %v", err)

@@ -2,7 +2,7 @@
 // and 10 assign it: a serial engine over a 2D grid loaded from the lab's
 // file format, and a parallel engine that partitions the grid by rows or
 // columns across pthread-style threads, synchronizing each round with a
-// barrier and protecting shared statistics with a mutex. The parallel
+// barrier and reducing per-thread statistics after join. The parallel
 // engine is the course's flagship demonstration of near-linear speedup on
 // multicore hardware.
 package life
@@ -67,28 +67,19 @@ func (p Partition) String() string {
 	return "columns"
 }
 
-// Grid is a Game of Life board with double buffering. A grid normally keeps
-// one byte per cell; SetPacked(true) switches it to the bit-packed
-// representation (64 cells per uint64 word) and every engine — serial,
-// parallel, distributed — then runs the SWAR kernel in packed.go instead of
-// the byte kernel.
+// Grid is a Game of Life board with double buffering, bit-packed 64 cells
+// per uint64 word (layout and kernel in packed.go). Every engine — serial,
+// parallel, distributed — advances it through the same SWAR kernel.
 type Grid struct {
 	Rows, Cols int
 	Mode       EdgeMode
-	cells      []uint8 // current generation (byte representation)
-	next       []uint8 // scratch for the next generation
-	zeroRow    []uint8 // all-dead row standing in for out-of-bounds rows (DeadEdges)
-	oneRow     []uint8 // all-live row standing in for out-of-bounds rows (AliveEdges)
 	Generation int
 
-	// Bit-packed representation (authoritative iff packed is true). Each row
-	// is wpr words, bit j of word w = cell column w*64+j; slack bits of the
-	// last word are always zero.
-	packed        bool
-	pcells, pnext []uint64
-	wpr           int // words per row: (Cols+63)/64
-	zeroRowP      []uint64
-	oneRowP       []uint64
+	cells   []uint64 // current generation: row r is cells[r*wpr : (r+1)*wpr]
+	next    []uint64 // scratch for the next generation
+	wpr     int      // words per row: (Cols+63)/64
+	zeroRow []uint64 // all-dead row standing in for out-of-bounds rows (DeadEdges)
+	oneRow  []uint64 // all-live row standing in for out-of-bounds rows (AliveEdges)
 }
 
 // NewGrid allocates an empty grid.
@@ -96,17 +87,15 @@ func NewGrid(rows, cols int, mode EdgeMode) (*Grid, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("life: grid %dx%d invalid", rows, cols)
 	}
-	g := &Grid{
+	wpr := wordsPerRow(cols)
+	return &Grid{
 		Rows: rows, Cols: cols, Mode: mode,
-		cells:   make([]uint8, rows*cols),
-		next:    make([]uint8, rows*cols),
-		zeroRow: make([]uint8, cols),
-		oneRow:  make([]uint8, cols),
-	}
-	for i := range g.oneRow {
-		g.oneRow[i] = 1
-	}
-	return g, nil
+		cells:   make([]uint64, rows*wpr),
+		next:    make([]uint64, rows*wpr),
+		wpr:     wpr,
+		zeroRow: make([]uint64, wpr),
+		oneRow:  liveRow(cols),
+	}, nil
 }
 
 // Set makes cell (r, c) alive or dead.
@@ -114,118 +103,77 @@ func (g *Grid) Set(r, c int, alive bool) error {
 	if r < 0 || r >= g.Rows || c < 0 || c >= g.Cols {
 		return fmt.Errorf("life: cell (%d,%d) outside %dx%d grid", r, c, g.Rows, g.Cols)
 	}
-	if g.packed {
-		bit := uint64(1) << (uint(c) & 63)
-		w := r*g.wpr + c>>6
-		if alive {
-			g.pcells[w] |= bit
-		} else {
-			g.pcells[w] &^= bit
-		}
-		return nil
-	}
+	bit := uint64(1) << (uint(c) & 63)
+	w := r*g.wpr + c>>6
 	if alive {
-		g.cells[r*g.Cols+c] = 1
+		g.cells[w] |= bit
 	} else {
-		g.cells[r*g.Cols+c] = 0
+		g.cells[w] &^= bit
 	}
 	return nil
 }
 
 // Alive reports whether cell (r, c) is live.
 func (g *Grid) Alive(r, c int) bool {
-	if g.packed {
-		return g.pcells[r*g.wpr+c>>6]>>(uint(c)&63)&1 == 1
-	}
-	return g.cells[r*g.Cols+c] == 1
+	return g.cells[r*g.wpr+c>>6]>>(uint(c)&63)&1 == 1
 }
 
-// Population counts live cells: a popcount per word on the packed
-// representation, a byte walk otherwise.
+// Population counts live cells with one popcount per word.
 func (g *Grid) Population() int {
 	n := 0
-	if g.packed {
-		for _, w := range g.pcells {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	for _, v := range g.cells {
-		n += int(v)
+	for _, w := range g.cells {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// Clone deep-copies the grid, preserving the active representation.
+// Clone deep-copies the grid.
 func (g *Grid) Clone() *Grid {
-	ng := &Grid{
+	return &Grid{
 		Rows: g.Rows, Cols: g.Cols, Mode: g.Mode, Generation: g.Generation,
-		cells:   append([]uint8(nil), g.cells...),
-		next:    make([]uint8, len(g.next)),
-		zeroRow: make([]uint8, g.Cols),
-		oneRow:  append([]uint8(nil), g.oneRow...),
+		cells:   append([]uint64(nil), g.cells...),
+		next:    make([]uint64, len(g.next)),
+		wpr:     g.wpr,
+		zeroRow: make([]uint64, g.wpr),
+		oneRow:  append([]uint64(nil), g.oneRow...),
 	}
-	if g.packed {
-		ng.packed = true
-		ng.wpr = g.wpr
-		ng.pcells = append([]uint64(nil), g.pcells...)
-		ng.pnext = make([]uint64, len(g.pnext))
-		ng.zeroRowP = make([]uint64, g.wpr)
-		ng.oneRowP = append([]uint64(nil), g.oneRowP...)
-	}
-	return ng
 }
 
-// Equal compares live-cell patterns across any mix of representations.
+// Equal compares live-cell patterns. Slack lanes are always zero, so equal
+// boards have equal words.
 func (g *Grid) Equal(o *Grid) bool {
 	if g.Rows != o.Rows || g.Cols != o.Cols {
 		return false
 	}
-	switch {
-	case !g.packed && !o.packed:
-		for i := range g.cells {
-			if g.cells[i] != o.cells[i] {
-				return false
-			}
-		}
-	case g.packed && o.packed:
-		for i := range g.pcells {
-			if g.pcells[i] != o.pcells[i] {
-				return false
-			}
-		}
-	default:
-		for r := 0; r < g.Rows; r++ {
-			for c := 0; c < g.Cols; c++ {
-				if g.Alive(r, c) != o.Alive(r, c) {
-					return false
-				}
-			}
+	for i := range g.cells {
+		if g.cells[i] != o.cells[i] {
+			return false
 		}
 	}
 	return true
 }
 
-// Randomize fills the grid from a seeded RNG with the given live density.
-// The byte buffer is filled first and re-packed if needed, so a packed and
-// an unpacked grid given the same seed hold the same board.
+// Randomize fills the grid from a seeded RNG with the given live density,
+// drawing one rng.Float64 per cell in row-major order. The draw order fixes
+// which board a seed names, and labd responses, benchmark metrics, and
+// tests pin boards by seed, so it must not change.
 func (g *Grid) Randomize(seed int64, density float64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := range g.cells {
-		if rng.Float64() < density {
-			g.cells[i] = 1
-		} else {
-			g.cells[i] = 0
-		}
+		g.cells[i] = 0
 	}
-	if g.packed {
-		g.packFromBytes()
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			if rng.Float64() < density {
+				g.cells[r*g.wpr+c>>6] |= uint64(1) << (uint(c) & 63)
+			}
+		}
 	}
 }
 
-// neighbors counts the live neighbors of (r, c) under the edge mode. It is
-// the straight-line reference the row-sliced kernel below is differential-
-// tested against; the hot paths never call it.
+// neighbors counts the live neighbors of (r, c) under the edge mode, one
+// Alive call per neighbor — the straight-line Lab 6 definition the packed
+// kernel is differential-tested against; the hot paths never call it.
 func (g *Grid) neighbors(r, c int) int {
 	n := 0
 	for dr := -1; dr <= 1; dr++ {
@@ -256,7 +204,9 @@ func (g *Grid) neighbors(r, c int) int {
 				rr = clamp(rr, g.Rows)
 				cc = clamp(cc, g.Cols)
 			}
-			n += int(g.cells[rr*g.Cols+cc])
+			if g.Alive(rr, cc) {
+				n++
+			}
 		}
 	}
 	return n
@@ -274,182 +224,41 @@ func clamp(i, n int) int {
 	return i
 }
 
-// stepCell computes the next state of one cell into the scratch buffer
-// (reference path, kept for differential tests).
-func (g *Grid) stepCell(r, c int) {
-	n := g.neighbors(r, c)
-	idx := r*g.Cols + c
-	switch {
-	case g.cells[idx] == 1 && (n == 2 || n == 3):
-		g.next[idx] = 1
-	case g.cells[idx] == 0 && n == 3:
-		g.next[idx] = 1
-	default:
-		g.next[idx] = 0
-	}
-}
-
-// stepReference advances one generation through the per-cell reference path.
-// Differential tests compare it against the row-sliced kernel.
-func (g *Grid) stepReference() {
+// stepReference advances one generation through the per-cell Lab 6 loop —
+// count each cell's neighbors, apply the birth/survival rule, write the
+// cell into the next board through Set — and returns how many cells
+// changed state. It is the oracle every engine's differential tests and
+// FuzzPackedLife compare boards and live-update counts against.
+func (g *Grid) stepReference() int64 {
+	next := g.Clone()
+	var changed int64
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
-			g.stepCell(r, c)
-		}
-	}
-	g.swap()
-}
-
-// rowIn returns row r of cells, synthesizing the mode's ghost row when r is
-// out of bounds: the wrapped row under Torus, the all-dead row under
-// DeadEdges, the all-live row under AliveEdges, and the clamped edge row
-// under MirrorEdges.
-func rowIn(cells, zeroRow, oneRow []uint8, rows, cols int, mode EdgeMode, r int) []uint8 {
-	if r < 0 || r >= rows {
-		switch mode {
-		case Torus:
-			if r < 0 {
-				r = rows - 1
-			} else {
-				r = 0
+			n := g.neighbors(r, c)
+			alive := g.Alive(r, c)
+			live := n == 3 || (n == 2 && alive)
+			if live != alive {
+				changed++
 			}
-		case DeadEdges:
-			return zeroRow
-		case AliveEdges:
-			return oneRow
-		case MirrorEdges:
-			r = clamp(r, rows)
+			_ = next.Set(r, c, live) // in range by the loop bounds
 		}
 	}
-	base := r * cols
-	return cells[base : base+cols]
-}
-
-// stepEdgeCell handles one cell in column 0 or cols-1, where the horizontal
-// neighbors need wrapping (Torus), dropping (DeadEdges), counting as live
-// ghosts (AliveEdges), or clamping back onto the edge column (MirrorEdges).
-// It returns 1 if the cell changed state.
-func stepEdgeCell(up, cur, down, out []uint8, cols int, mode EdgeMode, c int) int64 {
-	left, right := c-1, c+1
-	ghosts := 0
-	if left < 0 {
-		switch mode {
-		case Torus:
-			left = cols - 1
-		case DeadEdges:
-			left = -1
-		case AliveEdges:
-			left = -1
-			ghosts += 3 // up-left, left, down-left are all live ghosts
-		case MirrorEdges:
-			left = 0
-		}
-	}
-	if right >= cols {
-		switch mode {
-		case Torus:
-			right = 0
-		case DeadEdges:
-			right = -1
-		case AliveEdges:
-			right = -1
-			ghosts += 3
-		case MirrorEdges:
-			right = cols - 1
-		}
-	}
-	n := int(up[c]) + int(down[c]) + ghosts
-	if left >= 0 {
-		n += int(up[left]) + int(cur[left]) + int(down[left])
-	}
-	if right >= 0 {
-		n += int(up[right]) + int(cur[right]) + int(down[right])
-	}
-	var v uint8
-	if n == 3 || (n == 2 && cur[c] == 1) {
-		v = 1
-	}
-	out[c] = v
-	return int64(v ^ cur[c])
-}
-
-// stepSlices computes the next generation for the rectangle [loRow, hiRow) ×
-// [loCol, hiCol) of src into dst and returns how many cells changed state.
-// It is the shared hot kernel: per row it holds three row slices (above,
-// current, below — wrapped or zero-substituted once per row), the interior
-// columns take a branch-free 8-neighbor sum, and only the first and last
-// columns pay for edge handling. It allocates nothing. The buffers are
-// parameters rather than Grid fields so parallel workers can alternate
-// parity buffers locally without touching shared Grid state between
-// barrier rounds.
-func stepSlices(src, dst, zeroRow, oneRow []uint8, rows, cols int, mode EdgeMode, loRow, hiRow, loCol, hiCol int) int64 {
-	// An empty range owns no cells. Without this guard a loCol==hiCol==Cols
-	// tile (a surplus ByCols worker) would still recompute the right edge
-	// column, racing with the owning tile and double-counting changes.
-	if loRow >= hiRow || loCol >= hiCol {
-		return 0
-	}
-	var changed int64
-	for r := loRow; r < hiRow; r++ {
-		base := r * cols
-		cur := src[base : base+cols]
-		out := dst[base : base+cols]
-		up := rowIn(src, zeroRow, oneRow, rows, cols, mode, r-1)
-		down := rowIn(src, zeroRow, oneRow, rows, cols, mode, r+1)
-		if loCol == 0 {
-			changed += stepEdgeCell(up, cur, down, out, cols, mode, 0)
-		}
-		lo, hi := loCol, hiCol
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > cols-1 {
-			hi = cols - 1
-		}
-		for c := lo; c < hi; c++ {
-			n := up[c-1] + up[c] + up[c+1] +
-				cur[c-1] + cur[c+1] +
-				down[c-1] + down[c] + down[c+1]
-			var v uint8
-			if n == 3 || (n == 2 && cur[c] == 1) {
-				v = 1
-			}
-			out[c] = v
-			changed += int64(v ^ cur[c])
-		}
-		if hiCol == cols && cols > 1 {
-			changed += stepEdgeCell(up, cur, down, out, cols, mode, cols-1)
-		}
-	}
+	g.cells = next.cells
+	g.Generation++
 	return changed
 }
 
-// stepBlock runs the kernel over the grid's own current/scratch buffers.
-func (g *Grid) stepBlock(loRow, hiRow, loCol, hiCol int) int64 {
-	return stepSlices(g.cells, g.next, g.zeroRow, g.oneRow, g.Rows, g.Cols, g.Mode, loRow, hiRow, loCol, hiCol)
-}
-
-// swap promotes the scratch buffer to current (whichever representation is
-// active).
+// swap promotes the scratch buffer to current.
 func (g *Grid) swap() {
-	if g.packed {
-		g.pcells, g.pnext = g.pnext, g.pcells
-	} else {
-		g.cells, g.next = g.next, g.cells
-	}
+	g.cells, g.next = g.next, g.cells
 	g.Generation++
 }
 
-// Step advances one generation serially (Lab 6). An unpacked grid runs the
-// row-sliced byte kernel — the same kernel the parallel tiles run, so
-// measured speedups are against a fast serial baseline; a packed grid runs
-// the SWAR kernel over 64-cell words.
+// Step advances one generation serially (Lab 6) through the SWAR kernel —
+// the same kernel the parallel tiles and distributed bands run, so
+// measured speedups are against a fast serial baseline.
 func (g *Grid) Step() {
-	if g.packed {
-		g.stepPackedBlock(0, g.Rows, 0, g.wpr)
-	} else {
-		g.stepBlock(0, g.Rows, 0, g.Cols)
-	}
+	g.stepPackedBlock(0, g.Rows, 0, g.wpr)
 	g.swap()
 }
 
@@ -462,17 +271,12 @@ func (g *Grid) Run(n int) {
 
 // RunCounted advances n generations serially and reports how many cells
 // changed state in total — the serial twin of the parallel runner's
-// LiveUpdates statistic, which the sweep engine's differential tests
-// compare per-shard reductions against. A packed grid recovers the count
-// from a popcount of the change mask per word.
+// LiveUpdates statistic, recovered from a popcount of each word's change
+// mask.
 func (g *Grid) RunCounted(n int) int64 {
 	var changed int64
 	for i := 0; i < n; i++ {
-		if g.packed {
-			changed += g.stepPackedBlock(0, g.Rows, 0, g.wpr)
-		} else {
-			changed += g.stepBlock(0, g.Rows, 0, g.Cols)
-		}
+		changed += g.stepPackedBlock(0, g.Rows, 0, g.wpr)
 		g.swap()
 	}
 	return changed
@@ -567,6 +371,7 @@ func Oscillator() *Config {
 type RunStats struct {
 	LiveUpdates int64 // cells that changed state, summed across threads
 	Rounds      int
+	Workers     int // threads or ranks the run used, after clamping to the partition extent
 }
 
 // statShardStride spaces per-thread LiveUpdates accumulators a cache line
@@ -574,7 +379,9 @@ type RunStats struct {
 // each worker issues after its loop never false-shares with a neighbor.
 const statShardStride = 8
 
-// ParallelRunner advances a grid with worker threads (Lab 10).
+// ParallelRunner advances a grid with worker threads (Lab 10). The runner
+// never writes its own fields: the thread count a run actually uses is
+// reported in RunStats.Workers, so a runner can be reused across boards.
 type ParallelRunner struct {
 	G         *Grid
 	Threads   int
@@ -587,11 +394,6 @@ type ParallelRunner struct {
 	// generation while a callback runs; the grid state the callback
 	// observes is stable until it returns.
 	OnRound func(g *Grid)
-
-	// Reference selects the pre-tree runner — central Cond barrier, two
-	// crossings per generation, mutex-merged statistics — retained as the
-	// differential-test and benchmark baseline for the sharded runner.
-	Reference bool
 
 	// Trace, if non-nil, records one timeline lane per worker: a
 	// "generation" span around each kernel step and a "barrier-wait" span
@@ -606,8 +408,28 @@ type ParallelRunner struct {
 	BarrierWaits *obs.Histogram
 }
 
+// extent is the number of partition units the grid splits into: rows
+// under ByRows, 64-cell words under ByCols. A ByCols tile is a block of
+// whole words — word w needs only read-shared access to words w-1 and w+1
+// of the source parity buffer, so word tiles compose with the SWAR kernel
+// with no intra-word edge handling — and a board narrower than 64*T
+// columns therefore runs fewer than T column tiles.
+func (pr *ParallelRunner) extent() int {
+	if pr.Partition == ByCols {
+		return pr.G.wpr
+	}
+	return pr.G.Rows
+}
+
+// workers clamps the requested thread count to the partition extent:
+// surplus threads would own empty tiles, and spawning them only adds
+// barrier traffic.
+func (pr *ParallelRunner) workers() int {
+	return min(pr.Threads, pr.extent())
+}
+
 // Run advances n generations in parallel: each thread owns a block of rows
-// (or columns) and runs the same row-sliced kernel as the serial engine
+// (or word columns) and runs the same SWAR kernel as the serial engine
 // over it. One combining-tree barrier crossing separates generations: the
 // parity swap is thread-local (each worker alternates src/dst every
 // round), so no shared state needs a second protected phase — the round's
@@ -645,32 +467,8 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		return nil, fmt.Errorf("life: parallel run not started: %w", err)
 	}
 	g := pr.G
-	packed := g.packed
-	extent := g.Rows
-	if pr.Partition == ByCols {
-		// A packed ByCols tile is a block of 64-cell words, not bit columns:
-		// word w needs only read-shared access to words w-1 and w+1 of the
-		// source parity buffer, so word tiles compose with the SWAR kernel
-		// with no intra-word edge handling.
-		if packed {
-			extent = g.wpr
-		} else {
-			extent = g.Cols
-		}
-	}
-	// Clamp to the partition extent (not Rows*Cols): surplus threads would
-	// own empty tiles, and spawning them only adds barrier traffic. This
-	// also keeps Run consistent with Owner's clamping.
-	if pr.Threads > extent {
-		pr.Threads = extent
-	}
-	if pr.Reference {
-		if packed {
-			return nil, fmt.Errorf("life: the packed runner has no reference path; the byte kernel is the reference")
-		}
-		return pr.refRun(ctx, n, extent)
-	}
-	barrier, err := pthread.NewBarrier(pr.Threads)
+	extent, threads := pr.extent(), pr.workers()
+	barrier, err := pthread.NewBarrier(threads)
 	if err != nil {
 		return nil, err
 	}
@@ -684,28 +482,28 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 	if pr.Trace != nil {
 		nGen = pr.Trace.Name("generation")
 		nBarrier = pr.Trace.Name("barrier-wait")
-		lanes = make([]*obs.Lane, pr.Threads)
+		lanes = make([]*obs.Lane, threads)
 		for i := range lanes {
 			lanes[i] = pr.Trace.Lane(fmt.Sprintf("worker %d", i))
 		}
 	}
-	stats := &RunStats{}
-	shards := make([]int64, pr.Threads*statShardStride)
-	rows, cols, mode := g.Rows, g.Cols, g.Mode
-	zero := g.zeroRow
-	one := g.oneRow
+	stats := &RunStats{Workers: threads}
+	shards := make([]int64, threads*statShardStride)
+	rows, cols, wpr, mode := g.Rows, g.Cols, g.wpr, g.Mode
 	src0, dst0 := g.cells, g.next
-	wpr := g.wpr
-	psrc0, pdst0 := g.pcells, g.pnext
-	zeroP, oneP := g.zeroRowP, g.oneRowP
+	zero, one := g.zeroRow, g.oneRow
+	byRows := pr.Partition == ByRows
 	var stopRound atomic.Int64
 	stopRound.Store(noStop)
 	ctxDone := ctx.Done()
 
 	worker := func(id int) interface{} {
-		lo, hi := pthread.BlockRange(id, pr.Threads, extent)
+		lo, hi := pthread.BlockRange(id, threads, extent)
+		loRow, hiRow, loW, hiW := lo, hi, 0, wpr
+		if !byRows {
+			loRow, hiRow, loW, hiW = 0, rows, lo, hi
+		}
 		src, dst := src0, dst0
-		psrc, pdst := psrc0, pdst0
 		var lane *obs.Lane
 		if lanes != nil {
 			lane = lanes[id]
@@ -713,16 +511,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		var updates int64
 		for round := 0; round < n; round++ {
 			lane.Begin(nGen)
-			switch {
-			case packed && pr.Partition == ByRows:
-				updates += stepPackedSlices(psrc, pdst, zeroP, oneP, rows, cols, wpr, mode, lo, hi, 0, wpr)
-			case packed:
-				updates += stepPackedSlices(psrc, pdst, zeroP, oneP, rows, cols, wpr, mode, 0, rows, lo, hi)
-			case pr.Partition == ByRows:
-				updates += stepSlices(src, dst, zero, one, rows, cols, mode, lo, hi, 0, cols)
-			default:
-				updates += stepSlices(src, dst, zero, one, rows, cols, mode, 0, rows, lo, hi)
-			}
+			updates += stepPackedSlices(src, dst, zero, one, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
 			lane.End(nGen)
 			// One barrier per generation: nobody may read dst as a source
 			// until every tile of it is written. The serial thread
@@ -734,11 +523,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 			serial := barrier.WaitParty(id)
 			lane.End(nBarrier)
 			if serial {
-				if packed {
-					g.pcells, g.pnext = pdst, psrc
-				} else {
-					g.cells, g.next = dst, src
-				}
+				g.cells, g.next = dst, src
 				g.Generation++
 				stats.Rounds++
 				if pr.OnRound != nil {
@@ -753,7 +538,6 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 				}
 			}
 			src, dst = dst, src
-			psrc, pdst = pdst, psrc
 			if int64(round)+1 >= stopRound.Load() {
 				break
 			}
@@ -762,78 +546,11 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		return nil
 	}
 
-	if err := runWorkers(pr.Threads, worker); err != nil {
+	if err := runWorkers(threads, worker); err != nil {
 		return nil, err
 	}
-	for id := 0; id < pr.Threads; id++ {
+	for id := 0; id < threads; id++ {
 		stats.LiveUpdates += shards[id*statShardStride]
-	}
-	if stopRound.Load() != noStop {
-		return nil, fmt.Errorf("life: parallel run canceled after %d of %d rounds: %w", stats.Rounds, n, ctx.Err())
-	}
-	return stats, nil
-}
-
-// refRun is the pre-tree parallel path: a centralized barrier crossed
-// twice per generation (compute, then swap) and LiveUpdates merged under
-// the lab's shared-statistics mutex every round. The differential tests
-// and BenchmarkParallelLife hold the sharded runner to this baseline.
-// Cancellation is simpler than the tree path's: the serial thread arms the
-// stop between the two barrier crossings, so the second crossing publishes
-// it to every worker and all of them leave at the end of the same round.
-func (pr *ParallelRunner) refRun(ctx context.Context, n, extent int) (*RunStats, error) {
-	g := pr.G
-	barrier, err := pthread.NewRefBarrier(pr.Threads)
-	if err != nil {
-		return nil, err
-	}
-	statsMu := pthread.NewMutex("life-stats")
-	stats := &RunStats{}
-	var stopRound atomic.Int64
-	stopRound.Store(noStop)
-	ctxDone := ctx.Done()
-
-	worker := func(id int) interface{} {
-		lo, hi := pthread.BlockRange(id, pr.Threads, extent)
-		for round := 0; round < n; round++ {
-			var changed int64
-			if pr.Partition == ByRows {
-				changed = g.stepBlock(lo, hi, 0, g.Cols)
-			} else {
-				changed = g.stepBlock(0, g.Rows, lo, hi)
-			}
-			// Merge per-round stats under the mutex (the lab's shared
-			// state).
-			if err := statsMu.Lock(); err != nil {
-				return err
-			}
-			stats.LiveUpdates += changed
-			if err := statsMu.Unlock(); err != nil {
-				return err
-			}
-			// Wait for every thread to finish computing before swapping;
-			// the serial thread performs the swap, then a second barrier
-			// releases the next round.
-			if barrier.Wait() {
-				g.swap()
-				stats.Rounds++
-				if pr.OnRound != nil {
-					pr.OnRound(g)
-				}
-				if ctxDone != nil && ctx.Err() != nil {
-					stopRound.CompareAndSwap(noStop, int64(round)+1)
-				}
-			}
-			barrier.Wait()
-			if int64(round)+1 >= stopRound.Load() {
-				break
-			}
-		}
-		return nil
-	}
-
-	if err := runWorkers(pr.Threads, worker); err != nil {
-		return nil, err
 	}
 	if stopRound.Load() != noStop {
 		return nil, fmt.Errorf("life: parallel run canceled after %d of %d rounds: %w", stats.Rounds, n, ctx.Err())
@@ -862,24 +579,14 @@ func runWorkers(threads int, worker func(id int) interface{}) error {
 }
 
 // Owner reports which thread owns cell (r, c) under the runner's
-// partitioning — used by paravis to color regions.
+// partitioning — used by paravis to color regions. Under ByCols ownership
+// follows the 64-cell word the column lives in.
 func (pr *ParallelRunner) Owner(r, c int) int {
-	extent := pr.G.Rows
 	pos := r
 	if pr.Partition == ByCols {
-		extent = pr.G.Cols
-		pos = c
-		if pr.G.packed {
-			// Packed ByCols tiles are word blocks: ownership follows the
-			// 64-cell word the column lives in.
-			extent = pr.G.wpr
-			pos = c >> 6
-		}
+		pos = c >> 6
 	}
-	threads := pr.Threads
-	if threads > extent {
-		threads = extent
-	}
+	extent, threads := pr.extent(), pr.workers()
 	for id := 0; id < threads; id++ {
 		lo, hi := pthread.BlockRange(id, threads, extent)
 		if pos >= lo && pos < hi {

@@ -264,12 +264,57 @@ func TestOwnerPartitioning(t *testing.T) {
 	if pr.Owner(0, 5) != 0 || pr.Owner(9, 5) != 2 {
 		t.Errorf("row owners: %d, %d", pr.Owner(0, 5), pr.Owner(9, 5))
 	}
-	prc := &ParallelRunner{G: g, Threads: 2, Partition: ByCols}
-	if prc.Owner(5, 0) != 0 || prc.Owner(5, 9) != 1 {
-		t.Errorf("col owners: %d, %d", prc.Owner(5, 0), prc.Owner(5, 9))
+	// ByCols tiles are 64-column word blocks: on a 130-column board (three
+	// words) two threads split words {0, 1} and {2}.
+	wide, _ := NewGrid(10, 130, Torus)
+	prc := &ParallelRunner{G: wide, Threads: 2, Partition: ByCols}
+	for c, want := range map[int]int{0: 0, 63: 0, 64: 0, 127: 0, 128: 1, 129: 1} {
+		if got := prc.Owner(5, c); got != want {
+			t.Errorf("column %d owned by %d, want %d", c, got, want)
+		}
 	}
 	if ByRows.String() != "rows" || ByCols.String() != "columns" {
 		t.Error("partition names")
+	}
+}
+
+// TestRunnerReuseReportsWorkers: runners clamp surplus workers for the run
+// at hand, report the clamp in RunStats.Workers, and never write it back
+// into their own fields, so a runner reused on a wider or taller board
+// gets its full worker count back.
+func TestRunnerReuseReportsWorkers(t *testing.T) {
+	narrow, _ := NewGrid(8, 64, Torus)
+	wide, _ := NewGrid(8, 1024, Torus)
+	pr := &ParallelRunner{G: narrow, Threads: 8, Partition: ByCols}
+	for _, c := range []struct {
+		g    *Grid
+		want int
+	}{{narrow, 1}, {wide, 8}} {
+		pr.G = c.g
+		stats, err := pr.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Workers != c.want || pr.Threads != 8 {
+			t.Errorf("%d columns: Workers = %d, Threads = %d; want %d and 8", c.g.Cols, stats.Workers, pr.Threads, c.want)
+		}
+	}
+
+	short, _ := NewGrid(3, 16, Torus)
+	tall, _ := NewGrid(16, 16, Torus)
+	dr := &DistRunner{G: short, Ranks: 8}
+	for _, c := range []struct {
+		g    *Grid
+		want int
+	}{{short, 3}, {tall, 8}} {
+		dr.G = c.g
+		stats, err := dr.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Workers != c.want || dr.Ranks != 8 {
+			t.Errorf("%d rows: Workers = %d, Ranks = %d; want %d and 8", c.g.Rows, stats.Workers, dr.Ranks, c.want)
+		}
 	}
 }
 

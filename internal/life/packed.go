@@ -3,11 +3,11 @@ package life
 // Bit-packed board representation and SWAR generation kernel: 64 cells per
 // uint64 word, one word of lanes advanced per step of the inner loop.
 //
-// Layout: row r occupies words pcells[r*wpr : (r+1)*wpr] with wpr =
+// Layout: row r occupies words cells[r*wpr : (r+1)*wpr] with wpr =
 // ceil(Cols/64); bit j of word w is the cell in column w*64+j (LSB = lowest
 // column). The last word of a row has Cols&63 valid lanes when Cols is not
-// a multiple of 64; its slack lanes are ALWAYS zero — pack, Set, and the
-// kernel's edge-word mask all maintain the invariant, and every shifted
+// a multiple of 64; its slack lanes are ALWAYS zero — Set, Randomize, and
+// the kernel's edge-word mask all maintain the invariant, and every shifted
 // neighbor gather relies on it.
 //
 // Neighbor counting is branch-free boolean algebra. For one output word the
@@ -39,77 +39,22 @@ func lastWordMask(cols int) uint64 {
 	return ^uint64(0)
 }
 
-// SetPacked switches the grid's active representation. SetPacked(true)
-// packs the byte board into 64-cell words and routes Step, Run, RunCounted,
-// ParallelRunner, DistRunner, Population, Alive, and Set through the SWAR
-// kernel and popcounts; SetPacked(false) unpacks back to bytes. Both
-// directions preserve the board bit for bit, so the two representations can
-// be toggled mid-experiment for differential testing.
-func (g *Grid) SetPacked(on bool) {
-	if on == g.packed {
-		return
+// liveRow returns an all-live packed row of the given width: the ghost row
+// AliveEdges substitutes for out-of-bounds rows, slack lanes kept zero.
+func liveRow(cols int) []uint64 {
+	row := make([]uint64, wordsPerRow(cols))
+	for i := range row {
+		row[i] = ^uint64(0)
 	}
-	if on {
-		if g.pcells == nil {
-			g.wpr = wordsPerRow(g.Cols)
-			g.pcells = make([]uint64, g.Rows*g.wpr)
-			g.pnext = make([]uint64, g.Rows*g.wpr)
-			g.zeroRowP = make([]uint64, g.wpr)
-			g.oneRowP = make([]uint64, g.wpr)
-			for i := range g.oneRowP {
-				g.oneRowP[i] = ^uint64(0)
-			}
-			g.oneRowP[g.wpr-1] = lastWordMask(g.Cols)
-		}
-		g.packFromBytes()
-		g.packed = true
-		return
-	}
-	g.unpackToBytes()
-	g.packed = false
-}
-
-// Packed reports whether the bit-packed representation is active.
-func (g *Grid) Packed() bool { return g.packed }
-
-// StepPacked advances one generation through the SWAR kernel, packing the
-// board first if it is not already packed. It is the packed twin of Step.
-func (g *Grid) StepPacked() {
-	g.SetPacked(true)
-	g.Step()
-}
-
-// packFromBytes loads the packed buffers from the byte board.
-func (g *Grid) packFromBytes() {
-	for i := range g.pcells {
-		g.pcells[i] = 0
-	}
-	for r := 0; r < g.Rows; r++ {
-		row := g.cells[r*g.Cols : (r+1)*g.Cols]
-		base := r * g.wpr
-		for c, v := range row {
-			if v != 0 {
-				g.pcells[base+c>>6] |= uint64(1) << (uint(c) & 63)
-			}
-		}
-	}
-}
-
-// unpackToBytes writes the packed board back into the byte buffers.
-func (g *Grid) unpackToBytes() {
-	for r := 0; r < g.Rows; r++ {
-		row := g.cells[r*g.Cols : (r+1)*g.Cols]
-		base := r * g.wpr
-		for c := range row {
-			row[c] = uint8(g.pcells[base+c>>6] >> (uint(c) & 63) & 1)
-		}
-	}
+	row[len(row)-1] = lastWordMask(cols)
+	return row
 }
 
 // packedRowIn returns packed row r, synthesizing the mode's ghost row when r
-// is out of bounds — the packed twin of rowIn. Ghost rows are ready-made
-// buffers (zeroRow, oneRow) or clamped/wrapped views of the board, so the
-// call allocates nothing.
+// is out of bounds: the wrapped row under Torus, the all-dead row under
+// DeadEdges, the all-live row under AliveEdges, and the clamped edge row
+// under MirrorEdges. Ghost rows are ready-made buffers (zeroRow, oneRow) or
+// clamped/wrapped views of the board, so the call allocates nothing.
 func packedRowIn(p, zeroRow, oneRow []uint64, rows, wpr int, mode EdgeMode, r int) []uint64 {
 	if r < 0 || r >= rows {
 		switch mode {
@@ -173,8 +118,8 @@ func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, m
 		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)
 		// Ghost columns are per-row: a ghost row's own ghost corners come
 		// from that row (e.g. the torus corner is the wrapped row's far
-		// cell), matching the byte reference's independent row/column
-		// mapping exactly.
+		// cell), matching stepReference's independent row/column mapping
+		// exactly.
 		uw, ue := packedGhostCols(up, mode, lastLane)
 		cw, ce := packedGhostCols(cur, mode, lastLane)
 		dw, de := packedGhostCols(down, mode, lastLane)
@@ -239,8 +184,7 @@ func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, m
 	return changed
 }
 
-// stepPackedBlock runs the SWAR kernel over the grid's own packed parity
-// buffers — the packed twin of stepBlock.
+// stepPackedBlock runs the SWAR kernel over the grid's own parity buffers.
 func (g *Grid) stepPackedBlock(loRow, hiRow, loW, hiW int) int64 {
-	return stepPackedSlices(g.pcells, g.pnext, g.zeroRowP, g.oneRowP, g.Rows, g.Cols, g.wpr, g.Mode, loRow, hiRow, loW, hiW)
+	return stepPackedSlices(g.cells, g.next, g.zeroRow, g.oneRow, g.Rows, g.Cols, g.wpr, g.Mode, loRow, hiRow, loW, hiW)
 }

@@ -1,29 +1,16 @@
 package life
 
-// Differential equivalence for the bit-packed SWAR kernel: every packed
-// engine — serial, parallel tiles, distributed bands — must be bit-for-bit
-// identical to the byte reference, boards AND live-update statistics, for
-// every edge mode, shape (especially ragged widths straddling word
-// boundaries), partition, thread count, and rank count. The byte kernel is
-// itself pinned to the per-cell reference in differential_test.go, so this
-// file closes the chain: per-cell → byte → packed.
+// Differential equivalence for the bit-packed SWAR kernel on the shapes
+// that stress the packing itself: widths sitting on, one below, and one
+// above the 64-lane word boundary, multi-word rows, and ByCols word tiles.
+// Every engine — serial, parallel tiles, distributed bands — must match
+// the per-cell reference loop, boards AND live-update statistics.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
-
-// byteRun advances a byte-representation clone of g through the byte kernel
-// and returns the resulting grid plus its live-update count — the reference
-// every packed engine is held to.
-func byteRun(t testing.TB, g *Grid, gens int) (*Grid, int64) {
-	t.Helper()
-	ref := g.Clone()
-	if ref.Packed() {
-		ref.SetPacked(false)
-	}
-	return ref, ref.RunCounted(gens)
-}
 
 func TestPackedStepMatchesReference(t *testing.T) {
 	shapes := [][2]int{
@@ -40,10 +27,9 @@ func TestPackedStepMatchesReference(t *testing.T) {
 				}
 				g.Randomize(42, 0.35)
 				const gens = 8
-				want, wantUpdates := byteRun(t, g, gens)
-				g.SetPacked(true)
+				want, wantUpdates := referenceRun(g, gens)
 				if got := g.RunCounted(gens); got != wantUpdates {
-					t.Errorf("packed live updates %d, byte kernel counted %d", got, wantUpdates)
+					t.Errorf("packed live updates %d, reference counted %d", got, wantUpdates)
 				}
 				gridsMatch(t, "packed serial kernel", g, want)
 			})
@@ -54,26 +40,44 @@ func TestPackedStepMatchesReference(t *testing.T) {
 // TestPackedRaggedWidthsMatchesReference is the ragged-width property
 // sweep: widths sitting exactly on, one below, and one above the 64-lane
 // word boundary (plus multi-word raggeds) across every edge mode and
-// several densities. These widths exercise the last-word mask, the
-// slack-lane invariant, and the ghost-column injection at lastLane.
+// several densities, each run on all three engines. These widths exercise
+// the last-word mask, the slack-lane invariant, the ghost-column injection
+// at lastLane, and the seams between ByCols word tiles.
 func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 	for _, mode := range allModes {
 		for _, cols := range []int{1, 63, 64, 65, 127, 130} {
 			for _, density := range []float64{0.1, 0.5, 0.9} {
 				mode, cols, density := mode, cols, density
 				t.Run(fmt.Sprintf("%v/cols-%d/d%.0f", mode, cols, density*10), func(t *testing.T) {
-					g, err := NewGrid(9, cols, mode)
+					start, err := NewGrid(9, cols, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
-					g.Randomize(int64(cols)*31+int64(density*10), density)
+					start.Randomize(int64(cols)*31+int64(density*10), density)
 					const gens = 6
-					want, wantUpdates := byteRun(t, g, gens)
-					g.SetPacked(true)
+					want, wantUpdates := referenceRun(start, gens)
+
+					g := start.Clone()
 					if got := g.RunCounted(gens); got != wantUpdates {
-						t.Errorf("packed live updates %d, byte kernel counted %d", got, wantUpdates)
+						t.Errorf("serial: live updates %d, reference counted %d", got, wantUpdates)
 					}
-					gridsMatch(t, "ragged width", g, want)
+					gridsMatch(t, "serial", g, want)
+
+					g = start.Clone()
+					stats, err := (&ParallelRunner{G: g, Threads: 3, Partition: ByCols}).Run(gens)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gridsMatch(t, "parallel by word columns", g, want)
+					statsMatch(t, "parallel by word columns", stats, wantUpdates, gens)
+
+					g = start.Clone()
+					stats, err = (&DistRunner{G: g, Ranks: 3}).Run(gens)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gridsMatch(t, "dist", g, want)
+					statsMatch(t, "dist", stats, wantUpdates, gens)
 				})
 			}
 		}
@@ -94,20 +98,14 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 					}
 					g.Randomize(7, 0.3)
 					const gens = 6
-					want, wantUpdates := byteRun(t, g, gens)
-					g.SetPacked(true)
+					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
 					stats, err := pr.Run(gens)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gridsMatch(t, "packed parallel kernel", g, want)
-					if stats.LiveUpdates != wantUpdates {
-						t.Errorf("packed parallel live updates %d, byte kernel counted %d", stats.LiveUpdates, wantUpdates)
-					}
-					if stats.Rounds != gens {
-						t.Errorf("rounds = %d, want %d", stats.Rounds, gens)
-					}
+					statsMatch(t, "packed parallel kernel", stats, wantUpdates, gens)
 				})
 			}
 		}
@@ -127,17 +125,14 @@ func TestPackedDistMatchesReference(t *testing.T) {
 					}
 					g.Randomize(42, 0.35)
 					const gens = 8
-					want, wantUpdates := byteRun(t, g, gens)
-					g.SetPacked(true)
+					want, wantUpdates := referenceRun(g, gens)
 					dr := &DistRunner{G: g, Ranks: ranks}
 					stats, err := dr.Run(gens)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gridsMatch(t, "packed distributed kernel", g, want)
-					if stats.LiveUpdates != wantUpdates {
-						t.Errorf("packed dist live updates %d, byte kernel counted %d", stats.LiveUpdates, wantUpdates)
-					}
+					statsMatch(t, "packed distributed kernel", stats, wantUpdates, gens)
 				})
 			}
 		}
@@ -145,10 +140,10 @@ func TestPackedDistMatchesReference(t *testing.T) {
 }
 
 // TestPackedDistHaloBytes pins the headline comm win: a packed halo row at
-// cols=4096 is 64 words = 512 bytes on the wire — 8x under the 4096-byte
-// byte row. The world's traffic counters must account for exactly the
-// packed protocol (halos + block distribution/collection + the 8-byte
-// allreduce payloads), proving no byte-representation traffic leaks in.
+// cols=4096 is 64 words = 512 bytes on the wire — 8x under one byte per
+// cell. The world's traffic counters must account for exactly the packed
+// protocol (halos + block distribution/collection + the 8-byte allreduce
+// payloads).
 func TestPackedDistHaloBytes(t *testing.T) {
 	const rows, cols, ranks, gens = 16, 4096, 4, 3
 	g, err := NewGrid(rows, cols, Torus)
@@ -156,7 +151,6 @@ func TestPackedDistHaloBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(5, 0.3)
-	g.SetPacked(true)
 	dr := &DistRunner{G: g, Ranks: ranks}
 	if _, err := dr.Run(gens); err != nil {
 		t.Fatal(err)
@@ -173,12 +167,13 @@ func TestPackedDistHaloBytes(t *testing.T) {
 		t.Errorf("world sent %d bytes, want >= %d", ws.BytesSent, wantMin)
 	}
 	if ws.BytesSent > wantMin+int64(ranks*64) {
-		t.Errorf("world sent %d bytes, want close to %d (allreduce overhead only) — byte-width traffic leaked into the packed protocol?", ws.BytesSent, wantMin)
+		t.Errorf("world sent %d bytes, want close to %d (allreduce overhead only)", ws.BytesSent, wantMin)
 	}
 }
 
-// TestPackRoundTrip: pack → unpack is the identity, and the packed accessors
-// (Set, Alive, Population) agree with the byte representation.
+// TestPackRoundTrip: cells written through Set read back through Alive,
+// Bools, and String, and Population counts them, at widths on and around
+// the word boundary.
 func TestPackRoundTrip(t *testing.T) {
 	for _, cols := range []int{1, 63, 64, 65, 130} {
 		cols := cols
@@ -187,27 +182,48 @@ func TestPackRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.Randomize(3, 0.45)
-			want := g.Clone()
-			pop := g.Population()
-			g.SetPacked(true)
+			rng := rand.New(rand.NewSource(int64(cols)))
+			want := make([][]bool, g.Rows)
+			pop := 0
+			for r := range want {
+				want[r] = make([]bool, cols)
+				for c := range want[r] {
+					want[r][c] = rng.Intn(2) == 1
+					if want[r][c] {
+						pop++
+					}
+					if err := g.Set(r, c, want[r][c]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			if g.Population() != pop {
-				t.Errorf("packed Population = %d, byte counted %d", g.Population(), pop)
+				t.Errorf("Population = %d, set %d live cells", g.Population(), pop)
 			}
-			g.Set(0, cols-1, true)
-			if !g.Alive(0, cols-1) {
-				t.Error("packed Set/Alive lost the last column")
+			got := g.Bools()
+			rendered := g.String()
+			for r := range want {
+				for c := range want[r] {
+					if g.Alive(r, c) != want[r][c] || got[r][c] != want[r][c] {
+						t.Fatalf("cell (%d,%d): Alive %v, Bools %v, set %v", r, c, g.Alive(r, c), got[r][c], want[r][c])
+					}
+					if live := rendered[r*(cols+1)+c] == '@'; live != want[r][c] {
+						t.Fatalf("cell (%d,%d): String renders live=%v, set %v", r, c, live, want[r][c])
+					}
+				}
 			}
-			g.Set(0, cols-1, want.Alive(0, cols-1))
-			g.SetPacked(false)
-			gridsMatch(t, "pack/unpack round trip", g, want)
+			// Clearing the last column must not disturb its word neighbors.
+			g.Set(0, cols-1, false)
+			if g.Alive(0, cols-1) || (cols > 1 && g.Alive(0, cols-2) != want[0][cols-2]) {
+				t.Error("Set on the last column disturbed the row")
+			}
 		})
 	}
 }
 
 // TestPackedSlackLanesStayZero guards the representation invariant every
-// shifted gather relies on: after stepping, the slack lanes of each row's
-// final word are zero.
+// shifted gather relies on: after Randomize and after stepping, the slack
+// lanes of each row's final word are zero.
 func TestPackedSlackLanesStayZero(t *testing.T) {
 	for _, cols := range []int{1, 63, 65, 130} {
 		g, err := NewGrid(8, cols, AliveEdges) // alive ghosts press hardest on the mask
@@ -215,30 +231,27 @@ func TestPackedSlackLanesStayZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Randomize(9, 0.5)
-		g.SetPacked(true)
-		g.Run(5)
 		mask := lastWordMask(cols)
-		for r := 0; r < g.Rows; r++ {
-			if w := g.pcells[r*g.wpr+g.wpr-1]; w&^mask != 0 {
-				t.Fatalf("cols=%d row %d: slack lanes set in %#x (mask %#x)", cols, r, w, mask)
+		for step := 0; step <= 5; step++ {
+			for r := 0; r < g.Rows; r++ {
+				if w := g.cells[r*g.wpr+g.wpr-1]; w&^mask != 0 {
+					t.Fatalf("cols=%d generation %d row %d: slack lanes set in %#x (mask %#x)", cols, g.Generation, r, w, mask)
+				}
 			}
+			g.Step()
 		}
 	}
 }
 
-// TestPackedClonePreservesRepresentation: Clone of a packed grid is packed,
-// independent, and equal.
+// TestPackedClonePreservesRepresentation: a clone holds the same words and
+// is independent of the original.
 func TestPackedClonePreservesRepresentation(t *testing.T) {
 	g, err := NewGrid(9, 70, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(21, 0.4)
-	g.SetPacked(true)
 	c := g.Clone()
-	if !c.Packed() {
-		t.Fatal("clone of a packed grid is not packed")
-	}
 	gridsMatch(t, "packed clone", c, g)
 	c.Step()
 	if c.Equal(g) {
@@ -246,71 +259,62 @@ func TestPackedClonePreservesRepresentation(t *testing.T) {
 	}
 }
 
-// TestPackedReferenceRunnerRejected: the byte kernel IS the packed path's
-// reference, so the retained two-barrier reference runner refuses packed
-// grids rather than silently comparing packed against packed.
-func TestPackedReferenceRunnerRejected(t *testing.T) {
-	g, err := NewGrid(8, 8, Torus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetPacked(true)
-	pr := &ParallelRunner{G: g, Threads: 2, Reference: true}
-	if _, err := pr.Run(1); err == nil {
-		t.Error("reference runner accepted a packed grid")
-	}
-}
-
 // TestPackedStepAllocates pins the SWAR kernel's hot loop at zero
-// allocations, matching the byte kernel's guarantee.
+// allocations on multi-word rows.
 func TestPackedStepAllocates(t *testing.T) {
 	g, err := NewGrid(64, 130, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(3, 0.3)
-	g.SetPacked(true)
 	if avg := testing.AllocsPerRun(50, func() { g.Step() }); avg != 0 {
 		t.Errorf("packed Step allocates %.1f objects per generation, want 0", avg)
 	}
 }
 
-// FuzzPackedLife round-trips pack/unpack on arbitrary boards and holds the
-// packed kernel bit-for-bit to the byte kernel — boards and stats — across
-// fuzzer-chosen shapes, modes, and densities.
+// FuzzPackedLife holds every engine bit-for-bit to the per-cell reference
+// loop — boards and live updates — across fuzzer-chosen shapes, modes,
+// densities, and worker counts.
 func FuzzPackedLife(f *testing.F) {
-	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128))
-	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64))
-	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200))
-	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25))
-	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB uint8) {
+	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128), uint8(2))
+	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64), uint8(3))
+	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200), uint8(8))
+	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25), uint8(5))
+	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB, workersB uint8) {
 		rows := int(rowsB)%48 + 1
 		cols := int(colsB)%140 + 1
 		mode := EdgeMode(int(modeB) % 4)
 		density := float64(densityB) / 255
-		g, err := NewGrid(rows, cols, mode)
+		workers := int(workersB)%8 + 1
+		part := Partition(int(workersB) / 8 % 2)
+		start, err := NewGrid(rows, cols, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Randomize(seed, density)
-		orig := g.Clone()
-
-		// Round trip: pack then unpack must be the identity.
-		g.SetPacked(true)
-		g.SetPacked(false)
-		if !g.Equal(orig) {
-			t.Fatalf("pack/unpack round trip corrupted a %dx%d board", rows, cols)
-		}
-
-		// Differential step: packed vs byte kernel, boards and stats.
+		start.Randomize(seed, density)
 		const gens = 3
-		want, wantUpdates := byteRun(t, g, gens)
-		g.SetPacked(true)
-		if got := g.RunCounted(gens); got != wantUpdates {
-			t.Errorf("%dx%d %v: packed live updates %d, byte kernel counted %d", rows, cols, mode, got, wantUpdates)
+		want, wantUpdates := referenceRun(start, gens)
+		label := fmt.Sprintf("%dx%d %v", rows, cols, mode)
+
+		g := start.Clone()
+		if got := g.RunCounted(gens); got != wantUpdates || !g.Equal(want) {
+			t.Errorf("%s serial: live updates %d (reference %d), boards equal %v", label, got, wantUpdates, g.Equal(want))
 		}
-		if !g.Equal(want) {
-			t.Errorf("%dx%d %v: packed board diverged from byte kernel", rows, cols, mode)
+		g = start.Clone()
+		stats, err := (&ParallelRunner{G: g, Threads: workers, Partition: part}).Run(gens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.LiveUpdates != wantUpdates || !g.Equal(want) {
+			t.Errorf("%s parallel %v/%d: live updates %d (reference %d), boards equal %v", label, part, workers, stats.LiveUpdates, wantUpdates, g.Equal(want))
+		}
+		g = start.Clone()
+		stats, err = (&DistRunner{G: g, Ranks: workers}).Run(gens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.LiveUpdates != wantUpdates || !g.Equal(want) {
+			t.Errorf("%s dist/%d: live updates %d (reference %d), boards equal %v", label, workers, stats.LiveUpdates, wantUpdates, g.Equal(want))
 		}
 	})
 }

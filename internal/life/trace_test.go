@@ -164,7 +164,7 @@ func TestDistRunnerTrace(t *testing.T) {
 }
 
 // TestDistRunnerTracePacked re-runs the traced distributed protocol on
-// the bit-packed representation: same lanes, same runner-level golden.
+// multi-word packed rows: same lanes, same runner-level golden.
 func TestDistRunnerTracePacked(t *testing.T) {
 	const ranks, gens = 2, 3
 	g, err := NewGrid(10, 130, Torus) // cols > 64 exercises multi-word rows
@@ -172,7 +172,6 @@ func TestDistRunnerTracePacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Randomize(13, 0.3)
-	g.SetPacked(true)
 
 	tr := obs.New()
 	dr := &DistRunner{G: g, Ranks: ranks, Trace: tr}

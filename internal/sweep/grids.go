@@ -22,17 +22,13 @@ type LifeCase struct {
 	Gens       int
 	Seed       int64
 	Density    float64
-	Dist       bool // run the message-passing DistRunner instead of shared-memory threads
-	Packed     bool // advance through the bit-packed SWAR kernel instead of the byte kernel
+	Dist       bool // run the message-passing DistRunner instead of shared-memory threads (ByRows only)
 }
 
 func (c LifeCase) String() string {
 	s := fmt.Sprintf("%dx%d/%v/threads-%d", c.Rows, c.Cols, c.Partition, c.Threads)
 	if c.Dist {
 		s = fmt.Sprintf("%dx%d/%v/ranks-%d/dist", c.Rows, c.Cols, c.Partition, c.Threads)
-	}
-	if c.Packed {
-		s += "/packed"
 	}
 	return s
 }
@@ -80,20 +76,18 @@ func DistLifeGrid(sizes [][2]int, ranks []int, gens int, seed int64, density flo
 // RunLifeGrid fans the cases across workers. Thread-count 1 runs the
 // serial engine (the speedup baseline and the differential reference);
 // higher counts run the sharded ParallelRunner, or the message-passing
-// DistRunner for cases marked Dist.
+// DistRunner for cases marked Dist. The DistRunner shards by rows only, so
+// a Dist case partitioned ByCols is an error.
 func RunLifeGrid(ctx context.Context, workers int, cases []LifeCase) ([]LifeResult, error) {
 	return Run(ctx, workers, cases, func(ctx context.Context, c LifeCase) (LifeResult, error) {
+		if c.Dist && c.Partition != life.ByRows {
+			return LifeResult{}, fmt.Errorf("life case %s: the dist engine shards by rows only", c)
+		}
 		g, err := life.NewGrid(c.Rows, c.Cols, life.Torus)
 		if err != nil {
 			return LifeResult{}, err
 		}
 		g.Randomize(c.Seed, c.Density)
-		if c.Packed {
-			// Randomize fills the byte board first, so byte and packed cases
-			// with the same seed start from identical boards — the sweep's
-			// results double as a cross-representation differential.
-			g.SetPacked(true)
-		}
 		res := LifeResult{Case: c}
 		switch {
 		case c.Threads <= 1:
@@ -114,7 +108,7 @@ func RunLifeGrid(ctx context.Context, workers int, cases []LifeCase) ([]LifeResu
 				done += step
 			}
 		case c.Dist:
-			dr := &life.DistRunner{G: g, Ranks: c.Threads, Partition: c.Partition}
+			dr := &life.DistRunner{G: g, Ranks: c.Threads}
 			stats, err := dr.RunCtx(ctx, c.Gens)
 			if err != nil {
 				return res, err

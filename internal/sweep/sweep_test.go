@@ -174,10 +174,11 @@ func TestLifeGridDifferential(t *testing.T) {
 	}
 }
 
-// TestPackedLifeGridDifferential marks grid points packed and holds every
-// engine the sweep dispatches — packed serial, packed ParallelRunner, packed
-// DistRunner — to the byte kernel's count on the same seeded board. Width 70
-// keeps a ragged final word in play.
+// TestPackedLifeGridDifferential runs every engine the sweep dispatches —
+// serial, ParallelRunner by rows and by 64-column word tiles, DistRunner —
+// on a 70-column board, whose rows pack into one full word and one ragged
+// word, and holds each to the serial engine's count on the same seeded
+// board.
 func TestPackedLifeGridDifferential(t *testing.T) {
 	const (
 		gens    = 5
@@ -187,9 +188,6 @@ func TestPackedLifeGridDifferential(t *testing.T) {
 	cases := LifeGrid([][2]int{{16, 70}}, []int{1, 4, 33}, []life.Partition{life.ByRows, life.ByCols}, gens, seed, density)
 	dist := DistLifeGrid([][2]int{{16, 70}}, []int{4}, gens, seed, density)
 	cases = append(cases, dist...)
-	for i := range cases {
-		cases[i].Packed = true
-	}
 	results, err := RunLifeGrid(context.Background(), 4, cases)
 	if err != nil {
 		t.Fatal(err)
@@ -203,11 +201,21 @@ func TestPackedLifeGridDifferential(t *testing.T) {
 		serial.Randomize(c.Seed, c.Density)
 		wantUpdates := serial.RunCounted(c.Gens)
 		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates = %d, byte kernel counted %d", c, res.LiveUpdates, wantUpdates)
+			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
 		}
 		if res.Population != serial.Population() {
-			t.Errorf("%v: population = %d, byte kernel has %d", c, res.Population, serial.Population())
+			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
 		}
+	}
+}
+
+// TestRunLifeGridRejectsDistByCols: the DistRunner shards by rows only,
+// and the sweep is the one place a column-partitioned dist case can be
+// built, so the sweep rejects it instead of silently running rows.
+func TestRunLifeGridRejectsDistByCols(t *testing.T) {
+	cases := []LifeCase{{Rows: 8, Cols: 8, Threads: 2, Partition: life.ByCols, Gens: 1, Seed: 1, Density: 0.3, Dist: true}}
+	if _, err := RunLifeGrid(context.Background(), 1, cases); err == nil || !strings.Contains(err.Error(), "rows only") {
+		t.Errorf("dist case partitioned by columns: err = %v, want a rows-only error", err)
 	}
 }
 
