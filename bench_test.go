@@ -261,6 +261,44 @@ loop:
 	b.ReportMetric(float64(steps), "steps")
 }
 
+// BenchmarkAsmRequest times the work of one labd /v1/asm/run request for
+// the classroom mix's asm-loop template: Assemble, NewMachine at the
+// default 1 MiB memory size, and Run. BenchmarkMachineArithLoop uses a
+// 64 KiB machine, so only this benchmark sees the per-request machine
+// set-up. The "steps" metric is deterministic (6004).
+func BenchmarkAsmRequest(b *testing.B) {
+	const src = `
+main:
+    movl $2000, %ecx
+loop:
+    decl %ecx
+    cmpl $0, %ecx
+    jne loop
+    movl $7, %ebx
+    movl $1, %eax
+    int $0x80
+`
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		prog, err := asm.Assemble(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := asm.NewMachine(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out strings.Builder
+		m.Stdin = strings.NewReader("")
+		m.Stdout = &out
+		if err := m.Run(10_000_000); err != nil {
+			b.Fatal(err)
+		}
+		steps = m.Steps
+	}
+	b.ReportMetric(float64(steps), "steps")
+}
+
 // BenchmarkCacheLookup times the cache simulator's set-lookup hot path on a
 // mixed hit/miss/eviction workload over a 4-way LRU cache. The hit rate is
 // deterministic and doubles as a shape check on replacement semantics.

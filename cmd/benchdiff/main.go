@@ -39,7 +39,8 @@ import (
 )
 
 // defaultGate matches the optimized kernel benchmarks whose ns/op the CI
-// bench job gates: the original three simulator hot paths, the parallel
+// bench job gates: the original three simulator hot paths plus the whole
+// asm request (assemble, 1 MiB machine set-up, run), the parallel
 // runtime added by the synchronization/sweep pass (combining-tree barrier
 // and the sweep engine itself), the compiled gate-level circuit engine
 // (plan settle, gate-level datapath, 64-lane batch verify), the
@@ -49,7 +50,7 @@ import (
 // its own two: the zero-overhead disabled path (also pinned at 0 allocs/op
 // via the allocs/op shape invariant) and the /metrics scrape (whose
 // families count pins the exposition's shape).
-const defaultGate = `^BenchmarkLifeSpeedup/threads-1$|^BenchmarkMachineArithLoop$|^BenchmarkCacheLookup$` +
+const defaultGate = `^BenchmarkLifeSpeedup/threads-1$|^BenchmarkMachineArithLoop$|^BenchmarkAsmRequest$|^BenchmarkCacheLookup$` +
 	`|^BenchmarkBarrierWait/tree-4$|^BenchmarkBarrierWait/tree-16$|^BenchmarkSweepGrid$` +
 	`|^BenchmarkCircuitSettle/compiled$|^BenchmarkGateALU$|^BenchmarkALUVerifyBatch$` +
 	`|^BenchmarkAllreduce$|^BenchmarkHaloExchange/packed-4096$` +
@@ -290,7 +291,7 @@ func run() error {
 		if base.Note == "" {
 			base.Note = "Benchmark baseline for the CI bench gate. Regenerate with: " +
 				"go test -run '^$' -bench . -benchtime=1x -cpu 1 . | go run ./cmd/benchdiff -update; " +
-				"then go test -run '^$' -bench 'LifeSpeedup/threads-1$|MachineArithLoop|CacheLookup|BarrierWait/tree|SweepGrid|CircuitSettle|GateALU$|ALUVerifyBatch|Allreduce|HaloExchange|LifeEngines|Population|MemoHit|LabdCache|ParallelMergeSort|ObsDisabled|MetricsScrape' -benchtime 200ms -count 3 -cpu 1 . | go run ./cmd/benchdiff -update"
+				"then go test -run '^$' -bench 'LifeSpeedup/threads-1$|MachineArithLoop|AsmRequest|CacheLookup|BarrierWait/tree|SweepGrid|CircuitSettle|GateALU$|ALUVerifyBatch|Allreduce|HaloExchange|LifeEngines|Population|MemoHit|LabdCache|ParallelMergeSort|ObsDisabled|MetricsScrape' -benchtime 200ms -count 3 -cpu 1 . | go run ./cmd/benchdiff -update"
 		}
 		update(&base, results, gate)
 		data, err := json.MarshalIndent(&base, "", "  ")

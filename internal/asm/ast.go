@@ -121,21 +121,24 @@ func (m Mnemonic) String() string {
 	return fmt.Sprintf("mnemonic(%d)", int(m))
 }
 
-// MnemonicByName resolves an instruction name, accepting the common
-// suffix-free aliases the book uses interchangeably (mov, add, cdq, ...).
+// mnAliases maps the common suffix-free aliases the book uses
+// interchangeably (mov, add, cdq, ...) to their canonical names.
+var mnAliases = map[string]string{
+	"mov": "movl", "add": "addl", "sub": "subl", "imul": "imull",
+	"idiv": "idivl", "cdq": "cltd", "and": "andl", "or": "orl",
+	"xor": "xorl", "not": "notl", "neg": "negl", "inc": "incl",
+	"dec": "decl", "sal": "sall", "shl": "sall", "shll": "sall",
+	"sar": "sarl", "shr": "shrl", "cmp": "cmpl", "test": "testl",
+	"push": "pushl", "pop": "popl", "lea": "leal", "jz": "je",
+	"jnz": "jne", "jnge": "jl", "jng": "jle", "jnle": "jg",
+	"jnl": "jge", "jc": "jb", "jnae": "jb", "jna": "jbe",
+	"jnbe": "ja", "jnb": "jae", "jnc": "jae",
+}
+
+// MnemonicByName resolves an instruction name, accepting the aliases in
+// mnAliases.
 func MnemonicByName(name string) (Mnemonic, bool) {
-	aliases := map[string]string{
-		"mov": "movl", "add": "addl", "sub": "subl", "imul": "imull",
-		"idiv": "idivl", "cdq": "cltd", "and": "andl", "or": "orl",
-		"xor": "xorl", "not": "notl", "neg": "negl", "inc": "incl",
-		"dec": "decl", "sal": "sall", "shl": "sall", "shll": "sall",
-		"sar": "sarl", "shr": "shrl", "cmp": "cmpl", "test": "testl",
-		"push": "pushl", "pop": "popl", "lea": "leal", "jz": "je",
-		"jnz": "jne", "jnge": "jl", "jng": "jle", "jnle": "jg",
-		"jnl": "jge", "jc": "jb", "jnae": "jb", "jna": "jbe",
-		"jnbe": "ja", "jnb": "jae", "jnc": "jae",
-	}
-	if canon, ok := aliases[name]; ok {
+	if canon, ok := mnAliases[name]; ok {
 		name = canon
 	}
 	for i, n := range mnNames {

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,8 +11,17 @@ import (
 	"cs31/internal/memcheck"
 )
 
-// DefaultMemSize is the machine's flat memory size (1 MiB).
+// DefaultMemSize is the machine's memory size (1 MiB).
 const DefaultMemSize = 1 << 20
+
+// pageShift and pageSize fix the 4 KiB page of the machine's demand-paged
+// memory: the address space is a table of page pointers, a page is
+// allocated on its first write, and an absent page reads as zero.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
 
 // Flags is the EFLAGS subset the course teaches.
 type Flags struct {
@@ -50,8 +60,13 @@ type MemEvent struct {
 }
 
 // Machine executes an assembled Program: eight 32-bit registers, EFLAGS,
-// a flat byte-addressed memory holding the data segment, heap, and stack,
-// and a tiny syscall interface reached through "int $0x80".
+// a byte-addressed memory holding the data segment, heap, and stack, and a
+// tiny syscall interface reached through "int $0x80".
+//
+// Memory is demand-paged in 4 KiB pages over the whole address space, the
+// paging the vm package simulates: a program that touches three pages of
+// its 1 MiB pays for three pages. Callers read and write it through Load8,
+// Load32, Store8 and Store32.
 //
 // Syscalls (number in eax):
 //
@@ -73,7 +88,6 @@ type Machine struct {
 	Flags Flags
 	PC    int // instruction index into prog.Instrs
 
-	Mem  []byte
 	Prog *Program
 
 	Stdin  io.Reader
@@ -85,6 +99,11 @@ type Machine struct {
 
 	// Trace, when non-nil, receives every data memory access.
 	Trace func(MemEvent)
+
+	// pages[i] backs addresses [i*pageSize, (i+1)*pageSize); nil until
+	// the first write to it. memSize is the address-space size.
+	pages   []*[pageSize]byte
+	memSize int
 
 	brk uint32 // heap break (sbrk allocator)
 
@@ -116,13 +135,14 @@ func NewMachineSize(p *Program, memSize int) (*Machine, error) {
 			len(p.Data), p.DataBase)
 	}
 	m := &Machine{
-		Mem:    make([]byte, memSize),
-		Prog:   p,
-		Stdin:  bytes.NewReader(nil),
-		Stdout: io.Discard,
-		fns:    p.execFns(),
+		Prog:    p,
+		Stdin:   bytes.NewReader(nil),
+		Stdout:  io.Discard,
+		pages:   make([]*[pageSize]byte, (memSize+pageMask)>>pageShift),
+		memSize: memSize,
+		fns:     p.execFns(),
 	}
-	copy(m.Mem[p.DataBase:], p.Data)
+	m.writeBytes(p.DataBase, p.Data)
 	m.brk = p.DataBase + uint32(len(p.Data))
 	if m.brk < p.DataBase+1 {
 		m.brk = p.DataBase
@@ -152,7 +172,7 @@ func (m *Machine) checkAddr(addr uint32, size int, write bool) error {
 	if addr < 0x1000 {
 		return &SegFault{Addr: addr, Write: write, Why: "NULL page"}
 	}
-	if uint64(addr)+uint64(size) > uint64(len(m.Mem)) {
+	if uint64(addr)+uint64(size) > uint64(m.memSize) {
 		return &SegFault{Addr: addr, Write: write, Why: "outside memory"}
 	}
 	if write && addr >= m.Prog.TextBase && addr < m.Prog.TextEnd() {
@@ -190,8 +210,15 @@ func (m *Machine) Load32(addr uint32) (uint32, error) {
 	}
 	m.trace(addr, 4, false)
 	m.checkHeap(addr, 4, false)
-	return uint32(m.Mem[addr]) | uint32(m.Mem[addr+1])<<8 |
-		uint32(m.Mem[addr+2])<<16 | uint32(m.Mem[addr+3])<<24, nil
+	if off := addr & pageMask; off <= pageSize-4 {
+		if pg := m.pages[addr>>pageShift]; pg != nil {
+			return binary.LittleEndian.Uint32(pg[off:]), nil
+		}
+		return 0, nil
+	}
+	// The word straddles two pages.
+	return uint32(m.load8(addr)) | uint32(m.load8(addr+1))<<8 |
+		uint32(m.load8(addr+2))<<16 | uint32(m.load8(addr+3))<<24, nil
 }
 
 // Store32 writes a 32-bit little-endian word to memory.
@@ -201,10 +228,15 @@ func (m *Machine) Store32(addr uint32, v uint32) error {
 	}
 	m.trace(addr, 4, true)
 	m.checkHeap(addr, 4, true)
-	m.Mem[addr] = byte(v)
-	m.Mem[addr+1] = byte(v >> 8)
-	m.Mem[addr+2] = byte(v >> 16)
-	m.Mem[addr+3] = byte(v >> 24)
+	if off := addr & pageMask; off <= pageSize-4 {
+		binary.LittleEndian.PutUint32(m.page(addr)[off:], v)
+		return nil
+	}
+	// The word straddles two pages.
+	m.store8(addr, byte(v))
+	m.store8(addr+1, byte(v>>8))
+	m.store8(addr+2, byte(v>>16))
+	m.store8(addr+3, byte(v>>24))
 	return nil
 }
 
@@ -215,7 +247,7 @@ func (m *Machine) Load8(addr uint32) (byte, error) {
 	}
 	m.trace(addr, 1, false)
 	m.checkHeap(addr, 1, false)
-	return m.Mem[addr], nil
+	return m.load8(addr), nil
 }
 
 // Store8 writes one byte to memory.
@@ -225,8 +257,55 @@ func (m *Machine) Store8(addr uint32, v byte) error {
 	}
 	m.trace(addr, 1, true)
 	m.checkHeap(addr, 1, true)
-	m.Mem[addr] = v
+	m.store8(addr, v)
 	return nil
+}
+
+// The helpers below move bytes between pages and the caller without
+// checks, traces or memcheck; callers have bounds-checked the range.
+
+// page returns the page holding addr, allocating it on first use.
+func (m *Machine) page(addr uint32) *[pageSize]byte {
+	pg := m.pages[addr>>pageShift]
+	if pg == nil {
+		pg = new([pageSize]byte)
+		m.pages[addr>>pageShift] = pg
+	}
+	return pg
+}
+
+func (m *Machine) load8(addr uint32) byte {
+	if pg := m.pages[addr>>pageShift]; pg != nil {
+		return pg[addr&pageMask]
+	}
+	return 0
+}
+
+func (m *Machine) store8(addr uint32, v byte) {
+	m.page(addr)[addr&pageMask] = v
+}
+
+// readBytes copies len(b) bytes of memory starting at addr into b.
+func (m *Machine) readBytes(addr uint32, b []byte) {
+	for len(b) > 0 {
+		n := min(len(b), pageSize-int(addr&pageMask))
+		if pg := m.pages[addr>>pageShift]; pg != nil {
+			copy(b[:n], pg[addr&pageMask:])
+		} else {
+			clear(b[:n])
+		}
+		b = b[n:]
+		addr += uint32(n)
+	}
+}
+
+// writeBytes copies b into memory starting at addr.
+func (m *Machine) writeBytes(addr uint32, b []byte) {
+	for len(b) > 0 {
+		n := copy(m.page(addr)[addr&pageMask:], b)
+		b = b[n:]
+		addr += uint32(n)
+	}
 }
 
 func (m *Machine) push(v uint32) error {
@@ -723,7 +802,9 @@ func (m *Machine) syscall() error {
 		if err := m.checkAddr(buf, int(n), true); err != nil {
 			return err
 		}
-		read, err := m.Stdin.Read(m.Mem[buf : buf+n])
+		scratch := make([]byte, n)
+		read, err := m.Stdin.Read(scratch)
+		m.writeBytes(buf, scratch[:read])
 		if err != nil && err != io.EOF {
 			return fmt.Errorf("read syscall: %w", err)
 		}
@@ -735,7 +816,9 @@ func (m *Machine) syscall() error {
 		if err := m.checkAddr(buf, int(n), false); err != nil {
 			return err
 		}
-		written, err := m.Stdout.Write(m.Mem[buf : buf+n])
+		out := make([]byte, n)
+		m.readBytes(buf, out)
+		written, err := m.Stdout.Write(out)
 		if err != nil {
 			return fmt.Errorf("write syscall: %w", err)
 		}
@@ -841,7 +924,7 @@ func (m *Machine) ensureHeap() {
 	if m.Heap != nil {
 		return
 	}
-	guard := uint32(len(m.Mem))
+	guard := uint32(m.memSize)
 	if guard > 64*1024 {
 		guard -= 64 * 1024
 	} else {

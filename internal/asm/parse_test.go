@@ -130,6 +130,38 @@ out:
 	}
 }
 
+func TestMnemonicByName(t *testing.T) {
+	for i, name := range mnNames {
+		if mn, ok := MnemonicByName(name); !ok || mn != Mnemonic(i) {
+			t.Errorf("MnemonicByName(%q) = %v, %v; want %v", name, mn, ok, Mnemonic(i))
+		}
+	}
+	aliases := map[string]Mnemonic{
+		"mov": MOVL, "add": ADDL, "sub": SUBL, "imul": IMULL,
+		"idiv": IDIVL, "cdq": CLTD, "and": ANDL, "or": ORL,
+		"xor": XORL, "not": NOTL, "neg": NEGL, "inc": INCL,
+		"dec": DECL, "sal": SALL, "shl": SALL, "shll": SALL,
+		"sar": SARL, "shr": SHRL, "cmp": CMPL, "test": TESTL,
+		"push": PUSHL, "pop": POPL, "lea": LEAL, "jz": JE,
+		"jnz": JNE, "jnge": JL, "jng": JLE, "jnle": JG,
+		"jnl": JGE, "jc": JB, "jnae": JB, "jna": JBE,
+		"jnbe": JA, "jnb": JAE, "jnc": JAE,
+	}
+	for name, want := range aliases {
+		if mn, ok := MnemonicByName(name); !ok || mn != want {
+			t.Errorf("MnemonicByName(%q) = %v, %v; want %v", name, mn, ok, want)
+		}
+	}
+	if len(mnAliases) != len(aliases) {
+		t.Errorf("%d aliases, want %d", len(mnAliases), len(aliases))
+	}
+	for _, name := range []string{"", "frobnicate", "MOVL", "movq", "movll", "jmpl"} {
+		if mn, ok := MnemonicByName(name); ok {
+			t.Errorf("MnemonicByName(%q) = %v, want no match", name, mn)
+		}
+	}
+}
+
 func TestAssembleErrors(t *testing.T) {
 	cases := []struct {
 		name, src string
