@@ -17,12 +17,15 @@
 //	labd -workers 8 -queue 64 -timeout 5s
 //	labd -cache-bytes 67108864 -cache-off life,survey
 //
-// Observability: GET /healthz, GET /debug/vars, Prometheus text metrics
-// at GET /metrics (on by default; -metrics=false disables), a structured
-// (JSON) request log on stderr with per-request IDs (also returned as
-// X-Labd-Request-Id), -trace-dir to record a Chrome trace-event timeline
-// of the whole run (written on graceful shutdown), and -pprof to mount
-// net/http/pprof under /debug/pprof/ (off by default).
+// Observability: one metrics registry, rendered as Prometheus text at
+// GET /metrics and as expvar-style JSON at GET /debug/vars (responses
+// are counted by route and exact HTTP status), GET /healthz, a
+// structured (JSON) request log on stderr with per-request IDs (also
+// returned as X-Labd-Request-Id), -trace-dir to record a Chrome
+// trace-event timeline of the whole run (written on graceful shutdown;
+// events lost to a full ring count in labd_trace_dropped_events_total),
+// and -pprof to mount net/http/pprof under /debug/pprof/ (off by
+// default).
 package main
 
 import (
@@ -63,7 +66,6 @@ func run() error {
 	cacheOff := flag.String("cache-off", "",
 		"comma-separated endpoints to serve uncached (asm,minic,cache,vm,life,homework,survey)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	metricsOn := flag.Bool("metrics", true, "serve Prometheus text metrics at GET /metrics")
 	traceDir := flag.String("trace-dir", "", "record a Chrome trace-event timeline and write it here on shutdown")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -100,7 +102,6 @@ func run() error {
 		Cache:          cacheCfg,
 		EnablePprof:    *pprofOn,
 		Trace:          tr,
-		DisableMetrics: !*metricsOn,
 	})
 
 	httpSrv := &http.Server{

@@ -429,7 +429,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestDebugVarsAndMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
 		postJSON(t, ts.URL+"/v1/cache/sim", CacheSimRequest{
 			Trace: []TraceAccess{{Addr: 0x40}},
@@ -458,15 +458,11 @@ func TestDebugVarsAndMetrics(t *testing.T) {
 		t.Errorf("active_jobs = %d between requests, want 0", active)
 	}
 
-	snaps := s.Metrics().Snapshot()
-	byName := map[string]EndpointSnapshot{}
-	for _, ep := range snaps {
-		byName[ep.Endpoint] = ep
+	ep := decode[endpointVars](t, vars["labd.endpoint.POST /v1/cache/sim"])
+	if ep.Requests != 3 {
+		t.Errorf("cache/sim requests = %d, want 3", ep.Requests)
 	}
-	if got := byName["POST /v1/cache/sim"].Requests; got != 3 {
-		t.Errorf("cache/sim requests = %d, want 3", got)
-	}
-	if got := byName["POST /v1/cache/sim"].ByStatus["200"]; got != 3 {
+	if got := ep.ByStatus["200"]; got != 3 {
 		t.Errorf("cache/sim 200s = %d, want 3", got)
 	}
 }

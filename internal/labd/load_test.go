@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cs31/internal/obs"
 )
 
 // loadRequest issues one request of the given kind and returns the final
@@ -136,14 +138,9 @@ func TestLoadMixedConcurrentRequests(t *testing.T) {
 		t.Errorf("rejected %d != client-observed 429s %d", st.Rejected, tl.byStatus[http.StatusTooManyRequests])
 	}
 
-	// The metrics layer saw exactly the issued requests.
-	if got := s.Metrics().TotalRequests(); got != totalRequests {
-		t.Errorf("metrics total = %d, want %d", got, totalRequests)
-	}
-
-	// The expvar surface reconciles too: per-endpoint counters summed
-	// across /v1 routes equal the requests served, and per-status counts
-	// match what the clients saw.
+	// The metrics store saw exactly the issued requests, and both of
+	// its views reconcile with the clients route by route and status by
+	// status. /debug/vars renders before its own request is counted.
 	resp, raw := getURL(t, ts.URL+"/debug/vars")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/vars status %d", resp.StatusCode)
@@ -152,16 +149,16 @@ func TestLoadMixedConcurrentRequests(t *testing.T) {
 	if err := json.Unmarshal(raw, &vars); err != nil {
 		t.Fatalf("parse /debug/vars: %v", err)
 	}
+	if got := decode[int64](t, vars["labd.total_requests"]); got != totalRequests {
+		t.Errorf("labd.total_requests = %d, want %d", got, totalRequests)
+	}
 	var expvarTotal int64
 	for key, v := range vars {
 		name, ok := strings.CutPrefix(key, "labd.endpoint.")
 		if !ok || !strings.Contains(name, "/v1/") {
 			continue
 		}
-		var ep EndpointSnapshot
-		if err := json.Unmarshal(v, &ep); err != nil {
-			t.Fatalf("parse %s: %v", key, err)
-		}
+		ep := decode[endpointVars](t, v)
 		expvarTotal += ep.Requests
 		for status, clientCount := range tl.byEP[name] {
 			if got := ep.ByStatus[fmt.Sprint(status)]; got != int64(clientCount) {
@@ -171,6 +168,41 @@ func TestLoadMixedConcurrentRequests(t *testing.T) {
 	}
 	if expvarTotal != totalRequests {
 		t.Errorf("expvar endpoint counters sum to %d, want %d", expvarTotal, totalRequests)
+	}
+
+	// /metrics, scraped after the /debug/vars request finished, counts
+	// that request too.
+	resp, raw = getURL(t, ts.URL+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	prom := promSamples(t, raw)
+	if got := prom["labd_requests_total"]; got != totalRequests+1 {
+		t.Errorf("labd_requests_total = %v, want %d", got, totalRequests+1)
+	}
+	var promTotal float64
+	for name, v := range prom {
+		if strings.HasPrefix(name, `labd_responses_total{route="`) && strings.Contains(name, "/v1/") {
+			promTotal += v
+		}
+	}
+	if promTotal != totalRequests {
+		t.Errorf("/v1 labd_responses_total series sum to %v, want %d", promTotal, totalRequests)
+	}
+	for route, byStatus := range tl.byEP {
+		label := obs.Label("route", route)
+		var routeTotal int
+		for status, clientCount := range byStatus {
+			routeTotal += clientCount
+			name := "labd_responses_total{" + label + "," + obs.Label("status", fmt.Sprint(status)) + "}"
+			if got := prom[name]; got != float64(clientCount) {
+				t.Errorf("%s = %v, clients saw %d", name, got, clientCount)
+			}
+		}
+		name := "labd_request_duration_seconds_count{" + label + "}"
+		if got := prom[name]; got != float64(routeTotal) {
+			t.Errorf("%s = %v, clients sent %d", name, got, routeTotal)
+		}
 	}
 }
 

@@ -153,16 +153,13 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint st
 		if err != nil {
 			return nil, err
 		}
-		if s.obs == nil {
-			return encodeBody(resp)
-		}
 		m0 := time.Now()
 		b, encErr := encodeBody(resp)
 		s.obs.observeMarshal(m0)
 		return b, encErr
 	})
 	w.Header().Set(cacheHeader, outcome.String())
-	if s.obs != nil && err == nil {
+	if err == nil {
 		s.obs.observeCacheOutcome(endpoint, outcome, time.Since(t0))
 	}
 	if err != nil {

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cs31/internal/obs"
 )
 
 // doRequest issues one request with an optional Cache-Control header and
@@ -321,7 +323,9 @@ func TestCacheFullyDisabled(t *testing.T) {
 }
 
 // TestPprofGatedByFlag: the profiling routes exist only when EnablePprof
-// is set; off (the default) they 404 like any unknown path.
+// is set; off (the default) they 404 like any unknown path. On, each
+// route's requests are counted under its own pattern in both metrics
+// views, not beside real 404s as (unmatched).
 func TestPprofGatedByFlag(t *testing.T) {
 	_, off := newTestServer(t, Config{Workers: 1})
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
@@ -330,12 +334,30 @@ func TestPprofGatedByFlag(t *testing.T) {
 			t.Errorf("pprof disabled: GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
-	_, on := newTestServer(t, Config{Workers: 1, EnablePprof: true})
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+	s, on := newTestServer(t, Config{Workers: 1, EnablePprof: true})
+	paths := []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"}
+	for _, path := range paths {
 		resp, _ := getURL(t, on.URL+path)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("pprof enabled: GET %s = %d, want 200", path, resp.StatusCode)
 		}
+	}
+	vars, prom := quiescedViews(t, s)
+	for _, path := range paths {
+		route := "GET " + path
+		raw, ok := vars["labd.endpoint."+route]
+		if !ok {
+			t.Errorf("/debug/vars has no labd.endpoint.%s", route)
+		} else if got := decode[endpointVars](t, raw).ByStatus["200"]; got != 1 {
+			t.Errorf("labd.endpoint.%s by_status 200 = %d, want 1", route, got)
+		}
+		name := "labd_responses_total{" + obs.Label("route", route) + `,status="200"}`
+		if got := prom[name]; got != 1 {
+			t.Errorf("%s = %v, want 1", name, got)
+		}
+	}
+	if raw, ok := vars["labd.endpoint.(unmatched)"]; ok {
+		t.Errorf("pprof requests counted as (unmatched): %s", raw)
 	}
 }
 

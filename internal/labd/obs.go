@@ -15,13 +15,13 @@ import (
 // all join on one value.
 const requestIDHeader = "X-Labd-Request-Id"
 
-// serverObs bundles the daemon's observability state: a Prometheus-style
-// registry (nil when Config.DisableMetrics) and a trace recorder (nil
-// unless Config.Trace is set). The whole struct is nil when both are
-// off, so the request path pays a single pointer check.
+// serverObs is the daemon's one metrics store plus its trace recorder:
+// a Prometheus-style registry that GET /metrics renders and GET
+// /debug/vars reads, and a trace (nil unless Config.Trace is set).
 type serverObs struct {
 	reg   *obs.Registry
 	trace *obs.Trace
+	start time.Time // server start, for uptime
 
 	reqSeq atomic.Uint64 // request-ID source
 
@@ -36,15 +36,21 @@ type serverObs struct {
 	marshal *obs.Histogram // encode+write time of cold responses
 
 	mu        sync.RWMutex
-	endpoints map[string]*endpointObs // by route pattern
-	outcomes  map[string]*cacheObs    // by cached-endpoint name
+	responses map[routeStatus]*responseObs // by (route pattern, status)
+	outcomes  map[string]*cacheObs         // by cached-endpoint name
 }
 
-// endpointObs is one route's request-duration histogram plus response
-// counters by status class.
-type endpointObs struct {
-	dur    *obs.Histogram
-	status [6]*obs.Counter // index = status/100, clamped to [1,5]
+// routeStatus identifies one labd_responses_total series.
+type routeStatus struct {
+	route  string
+	status int
+}
+
+// responseObs is one (route, status) pair's response counter plus the
+// route's request-duration histogram, which all its statuses share.
+type responseObs struct {
+	count *obs.Counter
+	dur   *obs.Histogram
 }
 
 // cacheObs is one cached endpoint's per-outcome latency histograms:
@@ -54,19 +60,15 @@ type cacheObs struct {
 }
 
 func newServerObs(cfg *Config) *serverObs {
-	if cfg.DisableMetrics && cfg.Trace == nil {
-		return nil
-	}
 	o := &serverObs{
+		reg:       obs.NewRegistry(),
 		trace:     cfg.Trace,
-		endpoints: make(map[string]*endpointObs),
+		start:     time.Now(),
+		responses: make(map[routeStatus]*responseObs),
 		outcomes:  make(map[string]*cacheObs),
 	}
-	if !cfg.DisableMetrics {
-		o.reg = obs.NewRegistry()
-		o.marshal = o.reg.Histogram("labd_marshal_duration_seconds",
-			"Time to encode and write a cold response body.", "", 4)
-	}
+	o.marshal = o.reg.Histogram("labd_marshal_duration_seconds",
+		"Time to encode and write a cold response body.", "", 4)
 	if o.trace != nil {
 		o.httpLane = o.trace.Lane("http")
 		o.nRequest = o.trace.Name("request", "status", "id")
@@ -82,52 +84,109 @@ func (o *serverObs) nextRequestID() (uint64, string) {
 	return n, strconv.FormatUint(n, 16)
 }
 
-// endpoint returns (creating on first use) the route's metric series.
-// The read-locked fast path is one map lookup; creation registers the
-// duration histogram and the five status-class counters so scrapes see
-// every class from the first request on.
-func (o *serverObs) endpoint(pattern string) *endpointObs {
+// response returns (creating on first use) the series of one route and
+// status. The read-locked fast path is one map lookup.
+func (o *serverObs) response(route string, status int) *responseObs {
+	k := routeStatus{route, status}
 	o.mu.RLock()
-	eo := o.endpoints[pattern]
+	ro := o.responses[k]
 	o.mu.RUnlock()
-	if eo != nil {
-		return eo
+	if ro != nil {
+		return ro
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if eo = o.endpoints[pattern]; eo != nil {
-		return eo
+	if ro = o.responses[k]; ro != nil {
+		return ro
 	}
-	eo = &endpointObs{}
-	route := obs.Label("route", pattern)
-	eo.dur = o.reg.Histogram("labd_request_duration_seconds",
-		"End-to-end request latency by route.", route, 4)
-	for c := 1; c <= 5; c++ {
-		eo.status[c] = o.reg.Counter("labd_responses_total",
-			"Responses by route and status class.",
-			route+","+obs.Label("status", strconv.Itoa(c)+"xx"))
+	label := obs.Label("route", route)
+	ro = &responseObs{
+		count: o.reg.Counter("labd_responses_total", "Responses by route and HTTP status.",
+			label+","+obs.Label("status", strconv.Itoa(status))),
+		dur: o.reg.Histogram("labd_request_duration_seconds",
+			"End-to-end request latency by route.", label, 4),
 	}
-	o.endpoints[pattern] = eo
-	return eo
+	o.responses[k] = ro
+	return ro
 }
 
-// observeRequest records one finished request: duration histogram,
-// status-class counter, and (when tracing) an X span on the shared
-// http lane carrying the status and request ID.
-func (o *serverObs) observeRequest(pattern string, status int, start time.Time, id uint64) {
-	if o.reg != nil {
-		eo := o.endpoint(pattern)
-		eo.dur.Observe(int64(time.Since(start)))
-		c := status / 100
-		if c < 1 {
-			c = 1
-		}
-		if c > 5 {
-			c = 5
-		}
-		eo.status[c].Inc()
-	}
+// observeRequest records one finished request, d after start: its
+// response counter, its route's duration histogram, and (when tracing)
+// an X span on the shared http lane carrying the status and request ID.
+func (o *serverObs) observeRequest(route string, status int, start time.Time, d time.Duration, id uint64) {
+	ro := o.response(route, status)
+	ro.count.Inc()
+	ro.dur.Observe(int64(d))
 	o.httpLane.CompleteArgs(o.nRequest, start, int64(status), int64(id))
+}
+
+// totalRequests sums every response counter: the requests served.
+func (o *serverObs) totalRequests() int64 {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	var n int64
+	for _, ro := range o.responses {
+		n += ro.count.Value()
+	}
+	return n
+}
+
+// endpointVars is one route's labd.endpoint.* entry in /debug/vars.
+type endpointVars struct {
+	Endpoint  string           `json:"endpoint"`
+	Requests  int64            `json:"requests"`
+	ByStatus  map[string]int64 `json:"by_status"` // exact HTTP status -> count
+	LatencyMs latencyVars      `json:"latency_ms"`
+}
+
+// latencyVars summarizes a route's request-duration histogram in
+// milliseconds: the mean, and the count in each /metrics bucket that
+// holds any ("le_1.048576ms" for the bucket up to that bound, "inf" for
+// the tail).
+type latencyVars struct {
+	Mean    float64          `json:"mean"`
+	Buckets map[string]int64 `json:"buckets"`
+}
+
+// endpoints reads every route's /debug/vars entry from the series
+// /metrics renders, keyed by route pattern.
+func (o *serverObs) endpoints() map[string]*endpointVars {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	out := make(map[string]*endpointVars)
+	for k, ro := range o.responses {
+		ev := out[k.route]
+		if ev == nil {
+			ev = &endpointVars{Endpoint: k.route, ByStatus: make(map[string]int64), LatencyMs: latencyOf(ro.dur)}
+			out[k.route] = ev
+		}
+		n := ro.count.Value()
+		ev.Requests += n
+		ev.ByStatus[strconv.Itoa(k.status)] = n
+	}
+	return out
+}
+
+// latencyOf reads h in /debug/vars's latency_ms shape. A bucket's count
+// is the difference of two cumulative /metrics buckets.
+func latencyOf(h *obs.Histogram) latencyVars {
+	snap := h.Snapshot()
+	lv := latencyVars{Buckets: make(map[string]int64)}
+	if snap.Count > 0 {
+		lv.Mean = float64(snap.Sum) / float64(snap.Count) / 1e6
+	}
+	var below int64
+	for i, cum := range snap.Cumulative() {
+		if n := cum - below; n > 0 {
+			label := "inf"
+			if i < obs.ExpositionBuckets {
+				label = "le_" + strconv.FormatFloat(float64(obs.ExpositionBound(i))/1e6, 'f', -1, 64) + "ms"
+			}
+			lv.Buckets[label] = n
+		}
+		below = cum
+	}
+	return lv
 }
 
 // observeMarshal records the encode+write time of a cold response.
@@ -139,7 +198,7 @@ func (o *serverObs) observeMarshal(start time.Time) {
 // observeCacheOutcome records how long a memoized request took, split
 // by how the cache served it (hit / miss / coalesced).
 func (o *serverObs) observeCacheOutcome(endpoint string, out memo.Outcome, d time.Duration) {
-	if o.reg == nil || out > memo.Coalesced {
+	if out > memo.Coalesced {
 		return
 	}
 	o.mu.RLock()
@@ -161,14 +220,11 @@ func (o *serverObs) observeCacheOutcome(endpoint string, out memo.Outcome, d tim
 	co.byOutcome[out].Observe(int64(d))
 }
 
-// registerScrapeFuncs exposes the daemon's existing counters — the same
-// numbers /debug/vars reports — as scrape-time Prometheus series, read
-// fresh on every GET /metrics with zero per-request cost.
+// registerScrapeFuncs exposes the daemon's existing counters — the
+// sources /debug/vars reads too — as scrape-time Prometheus series,
+// read fresh on every GET /metrics with zero per-request cost.
 func (s *Server) registerScrapeFuncs() {
-	r := s.obs.reg
-	if r == nil {
-		return
-	}
+	r, o := s.obs.reg, s.obs
 	sc := s.sched
 	r.CounterFunc("labd_scheduler_submitted_total", "Jobs accepted into the bounded queue.", "",
 		func() int64 { return sc.submitted.Load() })
@@ -188,10 +244,14 @@ func (s *Server) registerScrapeFuncs() {
 		func() int64 { return sc.queueHWM.Load() })
 	r.GaugeFunc("labd_workers", "Worker pool size.", "",
 		func() int64 { return int64(sc.workers) })
-	r.CounterFunc("labd_requests_total", "HTTP requests served.", "",
-		func() int64 { return s.metrics.TotalRequests() })
+	r.CounterFunc("labd_requests_total", "HTTP requests served.", "", o.totalRequests)
 	r.GaugeFunc("labd_uptime_seconds", "Seconds since the server started.", "",
-		func() int64 { return int64(s.metrics.Uptime() / time.Second) })
+		func() int64 { return int64(time.Since(o.start) / time.Second) })
+	if o.trace != nil {
+		r.CounterFunc("labd_trace_dropped_events_total",
+			"Trace events discarded because a lane's ring was full.", "",
+			func() int64 { return int64(o.trace.Drops()) })
+	}
 	for name, c := range s.caches {
 		c := c
 		ep := obs.Label("endpoint", name)

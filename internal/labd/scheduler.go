@@ -89,19 +89,16 @@ type schedObs struct {
 	nHandler  obs.Name
 }
 
-// instrument attaches metrics and/or trace recording to the pool. Safe
-// to call before any traffic; jobs already queued keep their zero
-// enqueued stamp and are recorded without a queue-wait sample.
+// instrument attaches metrics and (when trace is non-nil) trace
+// recording to the pool. Safe to call before any traffic; jobs already
+// queued keep their zero enqueued stamp and are recorded without a
+// queue-wait sample.
 func (s *Scheduler) instrument(reg *obs.Registry, trace *obs.Trace) {
-	if reg == nil && trace == nil {
-		return
-	}
-	o := &schedObs{}
-	if reg != nil {
-		o.queueWait = reg.Histogram("labd_queue_wait_seconds",
-			"Time a job spent in the bounded queue before a worker dequeued it.", "", s.workers)
-		o.handler = reg.Histogram("labd_handler_duration_seconds",
-			"Time a worker spent running a job's handler.", "", s.workers)
+	o := &schedObs{
+		queueWait: reg.Histogram("labd_queue_wait_seconds",
+			"Time a job spent in the bounded queue before a worker dequeued it.", "", s.workers),
+		handler: reg.Histogram("labd_handler_duration_seconds",
+			"Time a worker spent running a job's handler.", "", s.workers),
 	}
 	if trace != nil {
 		o.nWait = trace.Name("queue-wait")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -32,10 +31,6 @@ type Config struct {
 	// lane and per-worker queue-wait/handler spans, exportable as a
 	// Chrome trace-event timeline via obs.Trace.WriteChromeTrace.
 	Trace *obs.Trace
-
-	// DisableMetrics turns off the Prometheus registry and the
-	// GET /metrics endpoint (trace recording, if configured, stays on).
-	DisableMetrics bool
 }
 
 func (c *Config) fillDefaults() {
@@ -57,30 +52,26 @@ func (c *Config) fillDefaults() {
 // Server is the lab-service daemon: an http.Handler whose /v1 endpoints
 // funnel simulator jobs through the bounded queue into the worker pool.
 type Server struct {
-	cfg     Config
-	sched   *Scheduler
-	metrics *Metrics
-	mux     *http.ServeMux
-	caches  map[string]*memo.Cache // per-endpoint response memoization
-	obs     *serverObs             // nil when metrics and tracing are both off
+	cfg    Config
+	sched  *Scheduler
+	mux    *http.ServeMux
+	caches map[string]*memo.Cache // per-endpoint response memoization
+	obs    *serverObs             // the metrics registry and optional trace
 }
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:     cfg,
-		sched:   NewScheduler(cfg.Workers, cfg.QueueDepth),
-		metrics: NewMetrics(),
-		mux:     http.NewServeMux(),
-		caches:  make(map[string]*memo.Cache),
+		cfg:    cfg,
+		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
+		mux:    http.NewServeMux(),
+		caches: make(map[string]*memo.Cache),
+		obs:    newServerObs(&cfg),
 	}
 	s.initCaches()
-	s.obs = newServerObs(&s.cfg)
-	if s.obs != nil {
-		s.registerScrapeFuncs()
-		s.sched.instrument(s.obs.reg, s.obs.trace)
-	}
+	s.registerScrapeFuncs()
+	s.sched.instrument(s.obs.reg, s.obs.trace)
 	s.routes()
 	return s
 }
@@ -91,8 +82,7 @@ func (s *Server) routes() {
 	registerJSON(s, "POST /v1/cache/sim", "cache", cacheSimKey, s.cacheSim)
 	registerJSON(s, "POST /v1/vm/sim", "vm", vmSimKey, s.vmSim)
 	registerJSON(s, "POST /v1/life/run", "life", lifeKey, s.lifeRun)
-	s.mux.HandleFunc("GET /v1/homework", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /v1/homework")
+	s.handle("GET /v1/homework", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		topic := q.Get("topic")
 		seed, err := queryInt64("seed", q.Get("seed"), 31)
@@ -111,8 +101,7 @@ func (s *Server) routes() {
 			return s.homeworkGen(ctx, topic, seed, int(n64), answers)
 		})
 	})
-	s.mux.HandleFunc("GET /v1/survey/figure1", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /v1/survey/figure1")
+	s.handle("GET /v1/survey/figure1", func(w http.ResponseWriter, r *http.Request) {
 		seed, err := queryInt64("seed", r.URL.Query().Get("seed"), 2022)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -128,34 +117,33 @@ func (s *Server) routes() {
 			return s.surveyFigure1(ctx, seed, int(st64))
 		})
 	})
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /healthz")
-		s.healthz(w, r)
+	s.handle("GET /healthz", s.healthz)
+	s.handle("GET /debug/vars", s.debugVars)
+	s.handle("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = s.obs.reg.WritePrometheus(w)
 	})
-	s.mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, "GET /debug/vars")
-		s.debugVars(w, r)
-	})
-	if s.obs != nil && s.obs.reg != nil {
-		s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			markPattern(w, "GET /metrics")
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = s.obs.reg.WritePrometheus(w)
-		})
-	}
 	if s.cfg.EnablePprof {
 		// Profiling is opt-in (-pprof): the handlers expose goroutine
 		// dumps and CPU profiles, which an open classroom deployment
 		// should not serve by default. Unregistered routes 404.
-		s.mux.HandleFunc("GET /debug/pprof/", func(w http.ResponseWriter, r *http.Request) {
-			markPattern(w, "GET /debug/pprof/")
-			pprof.Index(w, r)
-		})
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		s.handle("GET /debug/pprof/", pprof.Index)
+		s.handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.handle("GET /debug/pprof/profile", pprof.Profile)
+		s.handle("GET /debug/pprof/symbol", pprof.Symbol)
+		s.handle("GET /debug/pprof/trace", pprof.Trace)
 	}
+}
+
+// handle mounts h at pattern and stamps the pattern on the middleware's
+// recorder, so metrics aggregate by route instead of raw path.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if sr, ok := w.(*statusRecorder); ok {
+			sr.pattern = pattern
+		}
+		h(w, r)
+	})
 }
 
 // queryInt64 parses an optional integer query parameter. A missing or
@@ -177,15 +165,11 @@ func queryInt64(name, s string, def int64) (int64, error) {
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		var reqNum uint64
-		var reqID string
-		if s.obs != nil {
-			// Stamp the ID before the handler runs so cached responses
-			// carry it too and the log line, the response header, and
-			// the trace span all agree.
-			reqNum, reqID = s.obs.nextRequestID()
-			w.Header().Set(requestIDHeader, reqID)
-		}
+		// Stamp the ID before the handler runs so cached responses carry
+		// it too and the log line, the response header, and the trace
+		// span all agree.
+		reqNum, reqID := s.obs.nextRequestID()
+		w.Header().Set(requestIDHeader, reqID)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		s.mux.ServeHTTP(rec, r)
 		d := time.Since(start)
@@ -197,10 +181,7 @@ func (s *Server) Handler() http.Handler {
 		if pattern == "" {
 			pattern = "(unmatched)"
 		}
-		s.metrics.Observe(pattern, rec.status, d)
-		if s.obs != nil {
-			s.obs.observeRequest(pattern, rec.status, start, reqNum)
-		}
+		s.obs.observeRequest(pattern, rec.status, start, d, reqNum)
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Info("request",
 				slog.String("method", r.Method),
@@ -221,9 +202,6 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.sched.Shutdown(ctx)
 }
-
-// Metrics exposes the server's counters (for tests and embedders).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // SchedStats snapshots the scheduler counters.
 func (s *Server) SchedStats() SchedStats { return s.sched.Stats() }
@@ -302,13 +280,9 @@ func (s *Server) schedule(w http.ResponseWriter, r *http.Request, fn func(ctx co
 		s.writeError(w, err)
 		return
 	}
-	if s.obs != nil {
-		t0 := time.Now()
-		writeJSON(w, http.StatusOK, resp)
-		s.obs.observeMarshal(t0)
-		return
-	}
+	t0 := time.Now()
 	writeJSON(w, http.StatusOK, resp)
+	s.obs.observeMarshal(t0)
 }
 
 // writeError renders err with its mapped status; queue-full responses
@@ -323,21 +297,12 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// markPattern records the matched route on the middleware's recorder so
-// metrics aggregate by pattern instead of raw path.
-func markPattern(w http.ResponseWriter, pattern string) {
-	if sr, ok := w.(*statusRecorder); ok {
-		sr.pattern = pattern
-	}
-}
-
 // registerJSON adapts a typed request/response handler onto the memoized
 // queued path: decode the JSON body (1 MiB cap) up front, derive the
 // request's canonical cache key, then serve from cache or run the
 // simulator work through the pool and encode the reply.
 func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, keyFn func(*Server, Req) (uint64, bool), fn func(ctx context.Context, req Req) (Resp, error)) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		markPattern(w, pattern)
+	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		body := http.MaxBytesReader(nil, r.Body, 1<<20)
 		dec := json.NewDecoder(body)
@@ -374,13 +339,15 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		Workers:  st.Workers,
 		QueueLen: st.QueueLen,
 		QueueCap: st.QueueCap,
-		UptimeMs: s.metrics.Uptime().Milliseconds(),
+		UptimeMs: time.Since(s.obs.start).Milliseconds(),
 	})
 }
 
 // debugVars renders the daemon's counters in expvar's flat-JSON shape:
-// one "labd.*" key per var. The registry is per-server rather than
-// process-global so concurrent servers (tests) don't collide.
+// one "labd.*" key per var, read from the same registry series and
+// scheduler and cache counters that GET /metrics renders. The registry
+// is per-server rather than process-global so concurrent servers
+// (tests) don't collide.
 func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 	sched := s.sched.Stats()
 	vars := map[string]any{
@@ -395,11 +362,11 @@ func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 		"labd.queue_len":      sched.QueueLen,
 		"labd.queue_hwm":      sched.QueueHWM,
 		"labd.active_jobs":    sched.Active,
-		"labd.uptime_ms":      s.metrics.Uptime().Milliseconds(),
-		"labd.total_requests": s.metrics.TotalRequests(),
+		"labd.uptime_ms":      time.Since(s.obs.start).Milliseconds(),
+		"labd.total_requests": s.obs.totalRequests(),
 	}
-	for _, ep := range s.metrics.Snapshot() {
-		vars[fmt.Sprintf("labd.endpoint.%s", ep.Endpoint)] = ep
+	for route, ev := range s.obs.endpoints() {
+		vars["labd.endpoint."+route] = ev
 	}
 	vars["labd.cache_enabled"] = len(s.caches) > 0
 	if snaps := s.CacheStats(); len(snaps) > 0 {

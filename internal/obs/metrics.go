@@ -158,15 +158,41 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Prometheus exposition renders a fixed, bounded subset of the 65
-// power-of-two bucket bounds so every scrape has a stable schema:
+// Every view of a histogram (the Prometheus exposition, labd's
+// /debug/vars) renders the same fixed, bounded subset of the 65
+// power-of-two bucket bounds so every read has a stable schema:
 // 2^promBucketLo ns up to 2^promBucketHi ns every promBucketStep
 // exponents, then +Inf. 2^8 ns = 256ns, 2^36 ns ~= 68.7s.
 const (
 	promBucketLo   = 8
 	promBucketHi   = 36
 	promBucketStep = 2
+
+	// ExpositionBuckets is the number of finite bounds; Cumulative
+	// returns one count more, the +Inf bucket.
+	ExpositionBuckets = (promBucketHi-promBucketLo)/promBucketStep + 1
 )
+
+// ExpositionBound returns the upper bound, in nanoseconds, of finite
+// exposition bucket i (0 <= i < ExpositionBuckets).
+func ExpositionBound(i int) int64 { return 1 << uint(promBucketLo+i*promBucketStep) }
+
+// Cumulative folds the snapshot into the exposition schema: element i
+// counts the observations <= ExpositionBound(i), and the last element,
+// the +Inf bucket, is the total count.
+func (s HistogramSnapshot) Cumulative() [ExpositionBuckets + 1]int64 {
+	var out [ExpositionBuckets + 1]int64
+	var cum int64
+	next := 0
+	for i := 0; i < ExpositionBuckets; i++ {
+		for hi := promBucketLo + i*promBucketStep; next <= hi; next++ {
+			cum += s.Counts[next]
+		}
+		out[i] = cum
+	}
+	out[ExpositionBuckets] = s.Count
+	return out
+}
 
 type metricKind int
 
@@ -345,16 +371,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case s.hist != nil:
 				snap := s.hist.Snapshot()
-				var cum int64
-				next := 0
-				for i := promBucketLo; i <= promBucketHi; i += promBucketStep {
-					for ; next <= i; next++ {
-						cum += snap.Counts[next]
+				for i, cum := range snap.Cumulative() {
+					le := "+Inf"
+					if i < ExpositionBuckets {
+						le = formatFloat(float64(ExpositionBound(i)) / 1e9)
 					}
-					le := formatFloat(float64(uint64(1)<<uint(i)) / 1e9)
 					fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, joinLabels(s.labels, `le="`+le+`"`), cum)
 				}
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, joinLabels(s.labels, `le="+Inf"`), snap.Count)
 				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, wrapLabels(s.labels), formatFloat(float64(snap.Sum)/1e9))
 				fmt.Fprintf(bw, "%s_count%s %d\n", f.name, wrapLabels(s.labels), snap.Count)
 			case s.counter != nil:

@@ -91,6 +91,26 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestCumulativeBounds: exposition bucket i counts exactly the
+// observations at or below ExpositionBound(i), and +Inf counts them all.
+func TestCumulativeBounds(t *testing.T) {
+	h := NewHistogram(2)
+	for i := 0; i < ExpositionBuckets; i++ {
+		h.Observe(ExpositionBound(i))     // lands in bucket i
+		h.Observe(ExpositionBound(i) + 1) // first value past bound i
+	}
+	cum := h.Snapshot().Cumulative()
+	for i := 0; i < ExpositionBuckets; i++ {
+		// Every bound up to i, plus the values just past bounds below i.
+		if want := int64(2*i + 1); cum[i] != want {
+			t.Errorf("bucket le=%dns: %d, want %d", ExpositionBound(i), cum[i], want)
+		}
+	}
+	if got := cum[ExpositionBuckets]; got != 2*ExpositionBuckets {
+		t.Errorf("+Inf bucket = %d, want %d", got, 2*ExpositionBuckets)
+	}
+}
+
 // TestWritePrometheus checks the text exposition is structurally valid:
 // HELP/TYPE per family, cumulative non-decreasing histogram buckets
 // ending at +Inf == count, escaped label values, sorted families.
