@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -870,7 +871,12 @@ func benchLabd(b *testing.B) http.Handler {
 // postLife drives one life request through the handler stack without a
 // network socket, returning the recorder for header/body checks.
 func postLife(h http.Handler, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/life/run", bytes.NewReader(body))
+	return postLabd(h, "/v1/life/run", body)
+}
+
+// postLabd is postLife for any POST endpoint.
+func postLabd(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -885,18 +891,45 @@ func postLife(h http.Handler, body []byte) *httptest.ResponseRecorder {
 // per-request allocation count of the hit path (request parsing and
 // recorder included — the cache layer itself adds none).
 func BenchmarkLabdCacheHit(b *testing.B) {
+	benchCacheHit(b, "/v1/life/run", []byte(`{"rows":192,"cols":192,"iters":4,"seed":31,"threads":1}`))
+}
+
+// BenchmarkLabdCacheHitTrace is the hit path for the classroom mix's
+// largest body: a resident 256-access /v1/cache/sim trace (4.6 KB), built
+// like cs31bench's cache-256 template, so reading and decoding the body
+// dominate the op. allocs-per-hit pins the per-request allocation count.
+func BenchmarkLabdCacheHitTrace(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	body := []byte(`{"trace":[`)
+	for j := 0; j < 256; j++ {
+		if j > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, `{"addr":`...)
+		body = strconv.AppendUint(body, uint64(rng.Intn(1<<16))&^3, 10)
+		if rng.Intn(4) == 0 {
+			body = append(body, `,"write":true`...)
+		}
+		body = append(body, '}')
+	}
+	body = append(body, "]}"...)
+	benchCacheHit(b, "/v1/cache/sim", body)
+}
+
+// benchCacheHit primes the response to body at path, then times resident
+// hits of it and reports their allocation count as allocs-per-hit.
+func benchCacheHit(b *testing.B, path string, body []byte) {
 	h := benchLabd(b)
-	body := []byte(`{"rows":192,"cols":192,"iters":4,"seed":31,"threads":1}`)
-	if rec := postLife(h, body); rec.Code != http.StatusOK {
+	if rec := postLabd(h, path, body); rec.Code != http.StatusOK {
 		b.Fatalf("prime status %d: %s", rec.Code, rec.Body)
 	}
-	if rec := postLife(h, body); rec.Header().Get("X-Labd-Cache") != "hit" {
+	if rec := postLabd(h, path, body); rec.Header().Get("X-Labd-Cache") != "hit" {
 		b.Fatalf("want hit, got %q", rec.Header().Get("X-Labd-Cache"))
 	}
-	allocs := testing.AllocsPerRun(64, func() { postLife(h, body) })
+	allocs := testing.AllocsPerRun(64, func() { postLabd(h, path, body) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rec := postLife(h, body); rec.Code != http.StatusOK {
+		if rec := postLabd(h, path, body); rec.Code != http.StatusOK {
 			b.Fatalf("status %d", rec.Code)
 		}
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime=1x -cpu 1 . | benchdiff -baseline BENCH_BASELINE.json -shapes-only
-//	go test -run '^$' -bench 'Kernels' -benchtime 200ms -count 3 -cpu 1 . | benchdiff -baseline BENCH_BASELINE.json
+//	go test -run '^$' -bench "$(benchdiff -print-gate)" -benchtime 200ms -count 3 -cpu 1 . | benchdiff -baseline BENCH_BASELINE.json
 //	go test -run '^$' -bench . -cpu 1 . | benchdiff -baseline BENCH_BASELINE.json -update
 //
 // With -advisory, ns/op regressions are printed as warnings but do not fail
@@ -38,27 +38,55 @@ import (
 	"strings"
 )
 
-// defaultGate matches the optimized kernel benchmarks whose ns/op the CI
-// bench job gates: the original three simulator hot paths plus the whole
-// asm request (assemble, 1 MiB machine set-up, run), the parallel
-// runtime added by the synchronization/sweep pass (combining-tree barrier
-// and the sweep engine itself), the compiled gate-level circuit engine
-// (plan settle, gate-level datapath, 64-lane batch verify), the
-// message-passing runtime (tree Allreduce, ring halo exchange), the three
-// Life engines on their one bit-packed SWAR kernel (serial, 8 threads, 8
-// ranks) plus the popcount Population path. The observability pass adds
-// its own two: the zero-overhead disabled path (also pinned at 0 allocs/op
-// via the allocs/op shape invariant) and the /metrics scrape (whose
-// families count pins the exposition's shape).
-const defaultGate = `^BenchmarkLifeSpeedup/threads-1$|^BenchmarkMachineArithLoop$|^BenchmarkAsmRequest$|^BenchmarkCacheLookup$` +
-	`|^BenchmarkBarrierWait/tree-4$|^BenchmarkBarrierWait/tree-16$|^BenchmarkSweepGrid$` +
-	`|^BenchmarkCircuitSettle/compiled$|^BenchmarkGateALU$|^BenchmarkALUVerifyBatch$` +
-	`|^BenchmarkAllreduce$|^BenchmarkHaloExchange/packed-4096$` +
-	`|^BenchmarkLifeEngines/serial$|^BenchmarkLifeEngines/parallel-8$|^BenchmarkLifeEngines/dist-8$` +
-	`|^BenchmarkPopulation/packed$` +
-	`|^BenchmarkMemoHit$|^BenchmarkLabdCacheHit$|^BenchmarkLabdCacheMiss$` +
-	`|^BenchmarkParallelMergeSort/threads-1$|^BenchmarkParallelMergeSort/threads-8$` +
-	`|^BenchmarkObsDisabled$|^BenchmarkMetricsScrape$`
+// gatedBenchmarks names the optimized kernel benchmarks whose ns/op the
+// CI bench job gates: the original three simulator hot paths plus the
+// whole asm request (assemble, machine set-up, run), the parallel runtime
+// added by the synchronization/sweep pass (combining-tree barrier and the
+// sweep engine itself), the compiled gate-level circuit engine (plan
+// settle, gate-level datapath, 64-lane batch verify), the message-passing
+// runtime (tree Allreduce, ring halo exchange), the three Life engines on
+// their one bit-packed SWAR kernel (serial, 8 threads, 8 ranks) plus the
+// popcount Population path, labd's memo hit (a small life body and a
+// 256-access cache trace, whose decode dominates) and miss, and the
+// observability pass's two: the zero-overhead disabled path (also pinned
+// at 0 allocs/op via the allocs/op shape invariant) and the /metrics
+// scrape (whose families count pins the exposition's shape).
+//
+// It is the one gate list: -print-gate prints defaultGate, and CI's timed
+// step and the baseline's regeneration command run exactly that.
+var gatedBenchmarks = []string{
+	"BenchmarkLifeSpeedup/threads-1", "BenchmarkMachineArithLoop", "BenchmarkAsmRequest", "BenchmarkCacheLookup",
+	"BenchmarkBarrierWait/tree-4", "BenchmarkBarrierWait/tree-16", "BenchmarkSweepGrid",
+	"BenchmarkCircuitSettle/compiled", "BenchmarkGateALU", "BenchmarkALUVerifyBatch",
+	"BenchmarkAllreduce", "BenchmarkHaloExchange/packed-4096",
+	"BenchmarkLifeEngines/serial", "BenchmarkLifeEngines/parallel-8", "BenchmarkLifeEngines/dist-8",
+	"BenchmarkPopulation/packed",
+	"BenchmarkMemoHit", "BenchmarkLabdCacheHit", "BenchmarkLabdCacheHitTrace", "BenchmarkLabdCacheMiss",
+	"BenchmarkParallelMergeSort/threads-1", "BenchmarkParallelMergeSort/threads-8",
+	"BenchmarkObsDisabled", "BenchmarkMetricsScrape",
+}
+
+// defaultGate matches exactly the gatedBenchmarks names.
+var defaultGate = gateRegexp(gatedBenchmarks)
+
+// gateRegexp returns a regexp matching exactly names, read two ways: by
+// benchdiff as a regexp over whole names, and by `go test -bench`, which
+// splits each alternative at its slashes and matches the parts level by
+// level. The word boundaries around each slash end a part where its
+// level ends, so ^BenchmarkLifeSpeedup\b does not also run
+// BenchmarkLifeSpeedupModel.
+func gateRegexp(names []string) string {
+	alts := make([]string, len(names))
+	for i, name := range names {
+		alts[i] = "^" + strings.ReplaceAll(regexp.QuoteMeta(name), "/", `\b/\b`) + "$"
+	}
+	return strings.Join(alts, "|")
+}
+
+// baselineNote is the regeneration recipe a new baseline file records.
+const baselineNote = "Benchmark baseline for the CI bench gate. Regenerate with: " +
+	"go test -run '^$' -bench . -benchtime=1x -cpu 1 . | go run ./cmd/benchdiff -update; " +
+	`then go test -run '^$' -bench "$(go run ./cmd/benchdiff -print-gate)" -benchtime 200ms -count 3 -cpu 1 . | go run ./cmd/benchdiff -update`
 
 // BaselineEntry is one benchmark's committed expectations.
 type BaselineEntry struct {
@@ -255,7 +283,13 @@ func run() error {
 	advisory := flag.Bool("advisory", false, "report ns/op regressions as warnings without failing (shape drift still fails); for runners with unstable per-core speed")
 	doUpdate := flag.Bool("update", false, "record this run into the baseline instead of comparing")
 	gateExpr := flag.String("gate", defaultGate, "regexp of benchmarks whose ns/op is gated (with -update)")
+	printGate := flag.Bool("print-gate", false, "print the default gate regexp, for go test -bench, and exit")
 	flag.Parse()
+
+	if *printGate {
+		fmt.Println(defaultGate)
+		return nil
+	}
 
 	in := os.Stdin
 	if *input != "-" {
@@ -289,9 +323,7 @@ func run() error {
 			return fmt.Errorf("bad -gate regexp: %w", err)
 		}
 		if base.Note == "" {
-			base.Note = "Benchmark baseline for the CI bench gate. Regenerate with: " +
-				"go test -run '^$' -bench . -benchtime=1x -cpu 1 . | go run ./cmd/benchdiff -update; " +
-				"then go test -run '^$' -bench 'LifeSpeedup/threads-1$|MachineArithLoop|AsmRequest|CacheLookup|BarrierWait/tree|SweepGrid|CircuitSettle|GateALU$|ALUVerifyBatch|Allreduce|HaloExchange|LifeEngines|Population|MemoHit|LabdCache|ParallelMergeSort|ObsDisabled|MetricsScrape' -benchtime 200ms -count 3 -cpu 1 . | go run ./cmd/benchdiff -update"
+			base.Note = baselineNote
 		}
 		update(&base, results, gate)
 		data, err := json.MarshalIndent(&base, "", "  ")

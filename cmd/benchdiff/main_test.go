@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -197,5 +199,38 @@ BenchmarkMemoHit           	 3998719	        34.84 ns/op	       0 B/op	       0 
 	}
 	if v, ok := hit.Metrics["B/op"]; !ok || v != 0 {
 		t.Errorf("zero B/op invariant not pinned: %v (ok=%v)", v, ok)
+	}
+}
+
+// TestGateMatchesBaseline holds the one gate list and the committed
+// baseline to each other: every baseline entry with a recorded ns/op is
+// gated, every gated benchmark has a recorded ns/op, and the gate regexp
+// matches no other benchmark the baseline knows (such as
+// BenchmarkLifeSpeedupModel/threads-1 beside the gated
+// BenchmarkLifeSpeedup/threads-1).
+func TestGateMatchesBaseline(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	gated := make(map[string]bool, len(gatedBenchmarks))
+	for _, name := range gatedBenchmarks {
+		gated[name] = true
+		if base.Benchmarks[name].NsPerOp <= 0 {
+			t.Errorf("gated %s has no ns_per_op in the baseline", name)
+		}
+	}
+	gate := regexp.MustCompile(defaultGate)
+	for name, entry := range base.Benchmarks {
+		if entry.NsPerOp > 0 && !gated[name] {
+			t.Errorf("baseline records ns_per_op for %s, which the gate does not list", name)
+		}
+		if gate.MatchString(name) != gated[name] {
+			t.Errorf("gate regexp matches %s: %v, gate list: %v", name, gate.MatchString(name), gated[name])
+		}
 	}
 }

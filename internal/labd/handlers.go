@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -19,11 +20,17 @@ import (
 )
 
 // Request-size guardrails: the daemon serves an open classroom, so every
-// dimension a request controls is bounded before work is queued.
+// dimension a request controls is bounded before anything is allocated
+// for it. Products are checked by division (rows > max/cols), so no
+// request can wrap one past its bound.
 const (
 	maxSourceBytes = 1 << 20 // asm / mini-C source
-	maxTraceLen    = 1 << 20 // cache / VM trace entries
+	maxTraceLen    = 1 << 20 // cache / VM trace entries, matrix-workload rows*cols
 	maxGridCells   = 1 << 20 // life rows*cols
+	maxCacheLines  = 1 << 16 // cache size_bytes/block_size
+	maxVMFrames    = 1 << 12 // vm num_frames
+	maxTLBEntries  = 1 << 10 // vm tlb_size
+	maxPageEntries = 1 << 20 // vm num_pages times the trace's distinct pids
 	maxLifeIters   = 10_000
 	maxLifeThreads = 64
 	maxProblems    = 100
@@ -237,6 +244,16 @@ func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimRespo
 		return resp, badReqf("unknown replacement policy %q", req.Repl)
 	}
 
+	// Sizes cache.Validate rejects anyway (non-positive, or a block*assoc
+	// that does not divide the size) keep its message; these two would
+	// allocate past the bound or wrap block*assoc around to zero first.
+	if cfg.SizeBytes > 0 && cfg.BlockSize > 0 && cfg.SizeBytes/cfg.BlockSize > maxCacheLines {
+		return resp, badReqf("cache of %d lines exceeds %d (size_bytes/block_size)", cfg.SizeBytes/cfg.BlockSize, maxCacheLines)
+	}
+	if cfg.BlockSize > 0 && cfg.Assoc > 0 && cfg.BlockSize > math.MaxInt/cfg.Assoc {
+		return resp, badReqf("block_size %d times assoc %d overflows", cfg.BlockSize, cfg.Assoc)
+	}
+
 	trace, err := buildTrace(req)
 	if err != nil {
 		return resp, err
@@ -284,7 +301,7 @@ func buildTrace(req CacheSimRequest) ([]memhier.Access, error) {
 		if cols == 0 {
 			cols = 64
 		}
-		if rows < 1 || cols < 1 || rows*cols > maxTraceLen {
+		if rows < 1 || cols < 1 || rows > maxTraceLen/cols {
 			return nil, badReqf("matrix %dx%d out of range", rows, cols)
 		}
 		if req.Workload == "rowmajor" {
@@ -347,6 +364,12 @@ func (s *Server) vmSim(_ context.Context, req VMSimRequest) (VMSimResponse, erro
 	if len(req.Trace) > maxTraceLen {
 		return resp, badReqf("trace exceeds %d accesses", maxTraceLen)
 	}
+	if cfg.NumFrames > maxVMFrames {
+		return resp, badReqf("num_frames %d exceeds %d", cfg.NumFrames, maxVMFrames)
+	}
+	if cfg.TLBSize > maxTLBEntries {
+		return resp, badReqf("tlb_size %d exceeds %d", cfg.TLBSize, maxTLBEntries)
+	}
 	sys, err := vm.New(cfg)
 	if err != nil {
 		return resp, errBadRequest{err}
@@ -355,6 +378,10 @@ func (s *Server) vmSim(_ context.Context, req VMSimRequest) (VMSimResponse, erro
 	for i, a := range req.Trace {
 		pid := vm.Pid(a.Pid)
 		if !known[pid] {
+			// Each process gets a num_pages page table.
+			if procs := uint64(len(known) + 1); procs > maxPageEntries/cfg.NumPages {
+				return resp, badReqf("access %d: %d processes of %d pages exceed %d page-table entries", i, procs, cfg.NumPages, maxPageEntries)
+			}
 			if err := sys.AddProcess(pid); err != nil {
 				return resp, badReqf("access %d: %v", i, err)
 			}
@@ -438,7 +465,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 	if density == 0 {
 		density = 0.3
 	}
-	if rows < 1 || cols < 1 || rows*cols > maxGridCells {
+	if rows < 1 || cols < 1 || rows > maxGridCells/cols {
 		return resp, badReqf("grid %dx%d out of range (max %d cells)", rows, cols, maxGridCells)
 	}
 	if iters < 1 || iters > maxLifeIters {

@@ -304,10 +304,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, keyFn func(*Server, Req) (uint64, bool), fn func(ctx context.Context, req Req) (Resp, error)) {
 	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		body := http.MaxBytesReader(nil, r.Body, 1<<20)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
