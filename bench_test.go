@@ -464,6 +464,27 @@ func BenchmarkPopulation(b *testing.B) {
 	})
 }
 
+// BenchmarkRandomize times board seeding, Grid.Randomize at density 0.3,
+// on the square sizes labd's life requests span (the classroom mix asks
+// for 32² to 256²). Every fresh life request pays it before its first
+// generation. live-cells is the seeded board's population, a shape metric
+// that pins which board the seed names.
+func BenchmarkRandomize(b *testing.B) {
+	for _, n := range []int{32, 128, 256} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			g, err := life.NewGrid(n, n, life.Torus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Randomize(31, 0.3)
+			}
+			b.ReportMetric(float64(g.Population()), "live-cells")
+		})
+	}
+}
+
 // BenchmarkAllreduce times one combining-tree Allreduce across 8 ranks:
 // the world is created once, every rank runs b.N reductions back to back,
 // so ns/op is the latency of one collective (fan-in tree + broadcast). The

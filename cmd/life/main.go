@@ -60,6 +60,15 @@ func resolveEngine(engine string, threads int) (string, error) {
 	}
 }
 
+// checkDensity rejects a -density outside [0, 1], NaN included, with
+// labd's message for the same mistake.
+func checkDensity(d float64) error {
+	if !(d >= 0 && d <= 1) {
+		return fmt.Errorf("density %v outside [0,1]", d)
+	}
+	return nil
+}
+
 func run() error {
 	file := flag.String("file", "", "lab-format config file (rows cols iters, then live-cell pairs)")
 	rows := flag.Int("rows", 32, "grid rows (random mode)")
@@ -83,6 +92,9 @@ func run() error {
 
 	eng, err := resolveEngine(*engine, *threads)
 	if err != nil {
+		return err
+	}
+	if err := checkDensity(*density); err != nil {
 		return err
 	}
 

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestResolveEngine(t *testing.T) {
 	cases := []struct {
@@ -31,6 +35,20 @@ func TestResolveEngine(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("resolveEngine(%q, %d) = %q, want %q", c.engine, c.threads, got, c.want)
+		}
+	}
+}
+
+func TestCheckDensity(t *testing.T) {
+	for _, d := range []float64{0, 0.3, 1} {
+		if err := checkDensity(d); err != nil {
+			t.Errorf("checkDensity(%v): %v", d, err)
+		}
+	}
+	for _, d := range []float64{-1, 2, math.NaN(), -0.0001, math.Nextafter(1, 2), math.Inf(1)} {
+		err := checkDensity(d)
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("checkDensity(%v) = %v, want an outside [0,1] error", d, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package labd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -108,15 +107,19 @@ func bypassRequested(r *http.Request) bool {
 
 // encodeBody renders v exactly as writeJSON would put it on the wire
 // (two-space indent, trailing newline), so cached bytes are bit-for-bit
-// identical to a cold response.
+// identical to a cold response: MarshalIndent escapes HTML as an Encoder
+// does, and an Encoder's newline passes through its indent unchanged.
+// The memo keeps the result and charges its length, so it is copied out
+// of MarshalIndent's buffer, which has room for twice the compact size.
 func encodeBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, len(b)+1)
+	copy(out, b)
+	out[len(b)] = '\n'
+	return out, nil
 }
 
 // serveCached is the memoized sibling of schedule: a resident key is

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -106,6 +107,38 @@ func TestCacheDifferentialAllEndpoints(t *testing.T) {
 		}
 		if !bytes.Equal(cold, miss) {
 			t.Errorf("%s: twin recompute diverges from cached response:\ntwin: %s\ncache: %s", probe.endpoint, cold, miss)
+		}
+	}
+}
+
+// TestEncodeBodyMatchesWriteJSON: the bytes a miss caches are the bytes
+// writeJSON streams, for strings that HTML escaping and the U+2028/U+2029
+// escapes rewrite, nested and empty containers, and a top-level scalar.
+// They hold no spare capacity, since the memo charges only their length.
+func TestEncodeBodyMatchesWriteJSON(t *testing.T) {
+	values := []any{
+		map[string]any{"out": "<a href=\"x\">&amp;</a>  \x00é", "n": 3, "f": 0.1},
+		MinicCompileResponse{Assembly: "\tmovl $1, %eax\n", Stdout: "a < b && c > d\u2028\n", Steps: 7},
+		struct {
+			A []int          `json:"a"`
+			B map[string]int `json:"b"`
+			C []struct{}     `json:"c"`
+		}{A: []int{}, B: map[string]int{}, C: []struct{}{{}, {}}},
+		"top-level <string>",
+		42,
+	}
+	for _, v := range values {
+		got, err := encodeBody(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		if !bytes.Equal(got, rec.Body.Bytes()) {
+			t.Errorf("encodeBody(%#v):\n%q\nwriteJSON:\n%q", v, got, rec.Body.Bytes())
+		}
+		if cap(got) != len(got) {
+			t.Errorf("encodeBody(%#v) keeps %d bytes for %d", v, cap(got), len(got))
 		}
 	}
 }

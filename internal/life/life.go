@@ -13,7 +13,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 
@@ -151,24 +150,6 @@ func (g *Grid) Equal(o *Grid) bool {
 		}
 	}
 	return true
-}
-
-// Randomize fills the grid from a seeded RNG with the given live density,
-// drawing one rng.Float64 per cell in row-major order. The draw order fixes
-// which board a seed names, and labd responses, benchmark metrics, and
-// tests pin boards by seed, so it must not change.
-func (g *Grid) Randomize(seed int64, density float64) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := range g.cells {
-		g.cells[i] = 0
-	}
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			if rng.Float64() < density {
-				g.cells[r*g.wpr+c>>6] |= uint64(1) << (uint(c) & 63)
-			}
-		}
-	}
 }
 
 // neighbors counts the live neighbors of (r, c) under the edge mode, one
