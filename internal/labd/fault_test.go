@@ -205,9 +205,9 @@ func TestLifeRunCancelErrorClass(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := s.lifeRun(ctx, LifeRunRequest{
+	_, err := s.lifeRun(ctx, s.normalizeLife(LifeRunRequest{
 		Rows: 512, Cols: 512, Iters: maxLifeIters, Threads: 4, Engine: "dist",
-	})
+	}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}

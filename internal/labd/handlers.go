@@ -1,6 +1,7 @@
 package labd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,11 +14,27 @@ import (
 	"cs31/internal/homework"
 	"cs31/internal/life"
 	"cs31/internal/memhier"
+	"cs31/internal/memo"
 	"cs31/internal/minic"
 	"cs31/internal/survey"
 	"cs31/internal/sweep"
 	"cs31/internal/vm"
 )
+
+// Each POST endpoint has a normalize, a key and a handler, in that order
+// below. registerJSON runs normalize on the decoded request and hands the
+// result to both the key and the handler, which read nothing else.
+//
+// normalize fills the handler's defaults, maps equivalent spellings to
+// one form, and zeroes every field the request's shape ignores. It never
+// rejects and never rewrites a value the handler would refuse: validation
+// stays in the handler, so an invalid request keeps its error and cannot
+// alias a valid one in the memo.
+//
+// key hashes every field of the normalized request, so two requests share
+// a memo entry exactly when they normalize to the same value. It also
+// reports whether the response is a deterministic function of the request
+// and so may be cached.
 
 // Request-size guardrails: the daemon serves an open classroom, so every
 // dimension a request controls is bounded before anything is allocated
@@ -88,6 +105,28 @@ type AsmRunResponse struct {
 	Steps      int64  `json:"steps"`
 }
 
+func (s *Server) normalizeAsm(req AsmRunRequest) AsmRunRequest {
+	req.MaxSteps = s.stepBudget(req.MaxSteps)
+	return req
+}
+
+// stepBudget is the step budget a run gets: the request's own when it is
+// positive and under the server's cap, the cap otherwise.
+func (s *Server) stepBudget(maxSteps int64) int64 {
+	if maxSteps > 0 && maxSteps < s.cfg.MaxSteps {
+		return maxSteps
+	}
+	return s.cfg.MaxSteps
+}
+
+func asmKey(req AsmRunRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("asm"))
+	k.Str("source", req.Source)
+	k.Str("stdin", req.Stdin)
+	k.Int("max_steps", req.MaxSteps)
+	return k.Sum(), true
+}
+
 func (s *Server) asmRun(ctx context.Context, req AsmRunRequest) (AsmRunResponse, error) {
 	var resp AsmRunResponse
 	if req.Source == "" {
@@ -95,10 +134,6 @@ func (s *Server) asmRun(ctx context.Context, req AsmRunRequest) (AsmRunResponse,
 	}
 	if len(req.Source) > maxSourceBytes {
 		return resp, badReqf("source exceeds %d bytes", maxSourceBytes)
-	}
-	steps := s.cfg.MaxSteps
-	if req.MaxSteps > 0 && req.MaxSteps < steps {
-		steps = req.MaxSteps
 	}
 	prog, err := asm.Assemble(req.Source)
 	if err != nil {
@@ -111,7 +146,7 @@ func (s *Server) asmRun(ctx context.Context, req AsmRunRequest) (AsmRunResponse,
 	var out strings.Builder
 	m.Stdin = strings.NewReader(req.Stdin)
 	m.Stdout = &out
-	if err := runMachine(ctx, m, steps); err != nil {
+	if err := runMachine(ctx, m, req.MaxSteps); err != nil {
 		if ctx.Err() != nil {
 			return resp, ctx.Err()
 		}
@@ -141,6 +176,25 @@ type MinicCompileResponse struct {
 	ExitStatus *int32 `json:"exit_status,omitempty"`
 	Stdout     string `json:"stdout,omitempty"`
 	Steps      int64  `json:"steps,omitempty"`
+}
+
+func (s *Server) normalizeMinic(req MinicCompileRequest) MinicCompileRequest {
+	if !req.Run {
+		// Stdin and the step budget only shape a program that runs.
+		req.Stdin, req.MaxSteps = "", 0
+		return req
+	}
+	req.MaxSteps = s.stepBudget(req.MaxSteps)
+	return req
+}
+
+func minicKey(req MinicCompileRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("minic"))
+	k.Str("source", req.Source)
+	k.Bool("run", req.Run)
+	k.Str("stdin", req.Stdin)
+	k.Int("max_steps", req.MaxSteps)
+	return k.Sum(), true
 }
 
 func (s *Server) minicCompile(ctx context.Context, req MinicCompileRequest) (MinicCompileResponse, error) {
@@ -207,20 +261,50 @@ type CacheSimResponse struct {
 	Table      string      `json:"table,omitempty"`
 }
 
+func (*Server) normalizeCache(req CacheSimRequest) CacheSimRequest {
+	req.SizeBytes = cmp.Or(req.SizeBytes, 1024)
+	req.BlockSize = cmp.Or(req.BlockSize, 16)
+	req.Assoc = cmp.Or(req.Assoc, 1)
+	req.Write = cmp.Or(req.Write, "back")
+	req.Alloc = cmp.Or(req.Alloc, "allocate")
+	req.Repl = cmp.Or(req.Repl, "lru")
+	if req.Workload == "" {
+		// An explicit trace: the matrix shape is unused.
+		req.Rows, req.Cols = 0, 0
+	} else {
+		// A built-in workload: the trace is unused.
+		req.Trace = nil
+		req.Rows = cmp.Or(req.Rows, 64)
+		req.Cols = cmp.Or(req.Cols, 64)
+	}
+	return req
+}
+
+func cacheSimKey(req CacheSimRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("cache"))
+	k.Int("size_bytes", int64(req.SizeBytes))
+	k.Int("block_size", int64(req.BlockSize))
+	k.Int("assoc", int64(req.Assoc))
+	k.Str("write", req.Write)
+	k.Str("alloc", req.Alloc)
+	k.Str("repl", req.Repl)
+	k.Int("trace", int64(len(req.Trace)))
+	for _, a := range req.Trace {
+		k.Elem(a.Addr)
+		k.Elem(boolWord(a.Write))
+	}
+	k.Str("workload", req.Workload)
+	k.Int("rows", int64(req.Rows))
+	k.Int("cols", int64(req.Cols))
+	k.Int("table_n", int64(req.TableN))
+	return k.Sum(), true
+}
+
 func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimResponse, error) {
 	var resp CacheSimResponse
 	cfg := cache.Config{SizeBytes: req.SizeBytes, BlockSize: req.BlockSize, Assoc: req.Assoc}
-	if cfg.SizeBytes == 0 {
-		cfg.SizeBytes = 1024
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 16
-	}
-	if cfg.Assoc == 0 {
-		cfg.Assoc = 1
-	}
 	switch req.Write {
-	case "", "back":
+	case "back":
 		cfg.Write = cache.WriteBack
 	case "through":
 		cfg.Write = cache.WriteThrough
@@ -228,7 +312,7 @@ func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimRespo
 		return resp, badReqf("unknown write policy %q", req.Write)
 	}
 	switch req.Alloc {
-	case "", "allocate":
+	case "allocate":
 		cfg.Alloc = cache.WriteAllocate
 	case "noallocate":
 		cfg.Alloc = cache.NoWriteAllocate
@@ -236,7 +320,7 @@ func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimRespo
 		return resp, badReqf("unknown alloc policy %q", req.Alloc)
 	}
 	switch req.Repl {
-	case "", "lru":
+	case "lru":
 		cfg.Repl = cache.LRU
 	case "fifo":
 		cfg.Repl = cache.FIFO
@@ -294,20 +378,13 @@ func buildTrace(req CacheSimRequest) ([]memhier.Access, error) {
 		}
 		return trace, nil
 	case "rowmajor", "colmajor":
-		rows, cols := req.Rows, req.Cols
-		if rows == 0 {
-			rows = 64
-		}
-		if cols == 0 {
-			cols = 64
-		}
-		if rows < 1 || cols < 1 || rows > maxTraceLen/cols {
-			return nil, badReqf("matrix %dx%d out of range", rows, cols)
+		if req.Rows < 1 || req.Cols < 1 || req.Rows > maxTraceLen/req.Cols {
+			return nil, badReqf("matrix %dx%d out of range", req.Rows, req.Cols)
 		}
 		if req.Workload == "rowmajor" {
-			return memhier.MatrixTraceRowMajor(0, rows, cols, 4), nil
+			return memhier.MatrixTraceRowMajor(0, req.Rows, req.Cols, 4), nil
 		}
-		return memhier.MatrixTraceColMajor(0, rows, cols, 4), nil
+		return memhier.MatrixTraceColMajor(0, req.Rows, req.Cols, 4), nil
 	default:
 		return nil, badReqf("unknown workload %q", req.Workload)
 	}
@@ -340,23 +417,34 @@ type VMSimResponse struct {
 	EffectiveAccessNs float64  `json:"effective_access_ns"` // RAM 100ns, fault 8ms
 }
 
+func (*Server) normalizeVM(req VMSimRequest) VMSimRequest {
+	req.PageSize = cmp.Or(req.PageSize, 256)
+	req.NumFrames = cmp.Or(req.NumFrames, 8)
+	req.TLBSize = cmp.Or(req.TLBSize, 4)
+	req.NumPages = cmp.Or(req.NumPages, 64)
+	return req
+}
+
+func vmSimKey(req VMSimRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("vm"))
+	k.Uint("page_size", req.PageSize)
+	k.Int("num_frames", int64(req.NumFrames))
+	k.Int("tlb_size", int64(req.TLBSize))
+	k.Uint("num_pages", req.NumPages)
+	k.Int("trace", int64(len(req.Trace)))
+	for _, a := range req.Trace {
+		k.Elem(uint64(a.Pid))
+		k.Elem(a.Addr)
+		k.Elem(boolWord(a.Write))
+	}
+	return k.Sum(), true
+}
+
 func (s *Server) vmSim(_ context.Context, req VMSimRequest) (VMSimResponse, error) {
 	var resp VMSimResponse
 	cfg := vm.Config{
 		PageSize: req.PageSize, NumFrames: req.NumFrames,
 		TLBSize: req.TLBSize, NumPages: req.NumPages,
-	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 256
-	}
-	if cfg.NumFrames == 0 {
-		cfg.NumFrames = 8
-	}
-	if cfg.TLBSize == 0 {
-		cfg.TLBSize = 4
-	}
-	if cfg.NumPages == 0 {
-		cfg.NumPages = 64
 	}
 	if len(req.Trace) == 0 {
 		return resp, badReqf("trace is required")
@@ -445,41 +533,57 @@ type LifeRunResponse struct {
 	Scaling     []LifeScalingPoint `json:"scaling,omitempty"`
 }
 
+func (*Server) normalizeLife(req LifeRunRequest) LifeRunRequest {
+	req.Rows = cmp.Or(req.Rows, 32)
+	req.Cols = cmp.Or(req.Cols, 32)
+	req.Iters = cmp.Or(req.Iters, 20)
+	req.Seed = cmp.Or(req.Seed, 31)
+	req.Density = cmp.Or(req.Density, 0.3)
+	req.Partition = cmp.Or(req.Partition, "rows")
+	req.Engine = cmp.Or(req.Engine, "parallel")
+	req.Packed = false
+	if req.Threads <= 1 {
+		// Every count up to one runs the serial engine, and one thread
+		// has no scaling to measure.
+		req.Threads, req.Speedup = 1, false
+	}
+	return req
+}
+
+func lifeKey(req LifeRunRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("life"))
+	k.Int("rows", int64(req.Rows))
+	k.Int("cols", int64(req.Cols))
+	k.Int("iters", int64(req.Iters))
+	k.Int("seed", req.Seed)
+	k.Float("density", req.Density)
+	k.Int("threads", int64(req.Threads))
+	k.Str("partition", req.Partition)
+	k.Str("engine", req.Engine)
+	k.Bool("packed", req.Packed)
+	k.Bool("speedup", req.Speedup)
+	// A scaling table holds wall-clock timings: not a deterministic
+	// function of the request.
+	return k.Sum(), !req.Speedup
+}
+
 func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunResponse, error) {
 	var resp LifeRunResponse
-	rows, cols, iters := req.Rows, req.Cols, req.Iters
-	if rows == 0 {
-		rows = 32
+	if req.Rows < 1 || req.Cols < 1 || req.Rows > maxGridCells/req.Cols {
+		return resp, badReqf("grid %dx%d out of range (max %d cells)", req.Rows, req.Cols, maxGridCells)
 	}
-	if cols == 0 {
-		cols = 32
-	}
-	if iters == 0 {
-		iters = 20
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 31
-	}
-	density := req.Density
-	if density == 0 {
-		density = 0.3
-	}
-	if rows < 1 || cols < 1 || rows > maxGridCells/cols {
-		return resp, badReqf("grid %dx%d out of range (max %d cells)", rows, cols, maxGridCells)
-	}
-	if iters < 1 || iters > maxLifeIters {
-		return resp, badReqf("iters %d out of range [1,%d]", iters, maxLifeIters)
+	if req.Iters < 1 || req.Iters > maxLifeIters {
+		return resp, badReqf("iters %d out of range [1,%d]", req.Iters, maxLifeIters)
 	}
 	if req.Threads > maxLifeThreads {
 		return resp, badReqf("threads %d exceeds max %d", req.Threads, maxLifeThreads)
 	}
-	if density < 0 || density > 1 {
-		return resp, badReqf("density %v outside [0,1]", density)
+	if req.Density < 0 || req.Density > 1 {
+		return resp, badReqf("density %v outside [0,1]", req.Density)
 	}
 	part := life.ByRows
 	switch req.Partition {
-	case "", "rows":
+	case "rows":
 	case "cols":
 		part = life.ByCols
 	default:
@@ -487,7 +591,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 	}
 	var dist bool
 	switch req.Engine {
-	case "", "parallel":
+	case "parallel":
 	case "dist":
 		if part != life.ByRows {
 			return resp, badReqf("dist engine shards by rows only")
@@ -497,13 +601,13 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		return resp, badReqf("unknown engine %q", req.Engine)
 	}
 
-	g, err := life.NewGrid(rows, cols, life.Torus)
+	g, err := life.NewGrid(req.Rows, req.Cols, life.Torus)
 	if err != nil {
 		return resp, errBadRequest{err}
 	}
-	g.Randomize(seed, density)
+	g.Randomize(req.Seed, req.Density)
 
-	if req.Speedup && req.Threads > 1 {
+	if req.Speedup {
 		counts := []int{1}
 		for t := 2; t < req.Threads; t *= 2 {
 			counts = append(counts, t)
@@ -515,7 +619,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		// between them, so a canceled request stops mid-series.
 		points, err := sweep.MeasureScaling(ctx, counts, func(ctx context.Context, threads int) error {
 			gg := template.Clone()
-			_, err := runLifeCtx(ctx, gg, threads, part, dist, iters)
+			_, err := runLifeCtx(ctx, gg, threads, part, dist, req.Iters)
 			return err
 		})
 		if err != nil {
@@ -534,7 +638,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		}
 	}
 
-	live, err := runLifeCtx(ctx, g, req.Threads, part, dist, iters)
+	live, err := runLifeCtx(ctx, g, req.Threads, part, dist, req.Iters)
 	if err != nil {
 		if ctx.Err() != nil {
 			return resp, ctx.Err()
@@ -542,7 +646,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		return resp, errBadRequest{err}
 	}
 	resp.LiveUpdates = live
-	resp.Rows, resp.Cols = rows, cols
+	resp.Rows, resp.Cols = req.Rows, req.Cols
 	resp.Generations = g.Generation
 	resp.Population = g.Population()
 	return resp, nil
@@ -604,6 +708,17 @@ type HomeworkResponse struct {
 	Problems []HomeworkProblem `json:"problems,omitempty"`
 }
 
+// homeworkKey hashes the parsed query. For the topic listing (no topic)
+// the query parse zeroes the other parameters, which it ignores.
+func homeworkKey(topic string, seed int64, n int, answers bool) uint64 {
+	k := memo.NewKey(saltFor("homework"))
+	k.Str("topic", topic)
+	k.Int("seed", seed)
+	k.Int("n", int64(n))
+	k.Bool("answers", answers)
+	return k.Sum()
+}
+
 func (s *Server) homeworkGen(_ context.Context, topic string, seed int64, n int, answers bool) (HomeworkResponse, error) {
 	var resp HomeworkResponse
 	if topic == "" {
@@ -636,6 +751,13 @@ type SurveyFigureResponse struct {
 	Stats         []survey.TopicStat `json:"stats"`
 	Figure        string             `json:"figure"`
 	ShapeProblems []string           `json:"shape_problems,omitempty"`
+}
+
+func surveyKey(seed int64, students int) uint64 {
+	k := memo.NewKey(saltFor("survey"))
+	k.Int("seed", seed)
+	k.Int("students", int64(students))
+	return k.Sum()
 }
 
 func (s *Server) surveyFigure1(_ context.Context, seed int64, students int) (SurveyFigureResponse, error) {

@@ -146,6 +146,20 @@ func TestMinicCompileError(t *testing.T) {
 	}
 }
 
+// TestMinicNonASCIILetter400: a non-ASCII letter in mini-C source is a
+// compile error. The lexer once looped on it, appending empty tokens
+// until the whole daemon died of a fatal out-of-memory.
+func TestMinicNonASCIILetter400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, raw := postJSON(t, ts.URL+"/v1/minic/compile", MinicCompileRequest{Source: "int café = 1;"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if got, want := decode[errorBody](t, raw).Error, "minic: line 1: unexpected character 'é'"; got != want {
+		t.Errorf("error %q, want %q", got, want)
+	}
+}
+
 func TestCacheSimEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Two accesses to the same block: miss then hit.

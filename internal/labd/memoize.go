@@ -23,6 +23,23 @@ const DefaultCacheBytes = 32 << 20
 // entirely when the endpoint has no cache configured.
 const cacheHeader = "X-Labd-Cache"
 
+// cacheKeyVersion salts every endpoint's key space together with its
+// name. Bump it whenever a simulator changes observable output or a
+// key's encoding changes; old entries then miss by construction instead
+// of serving stale bytes.
+const cacheKeyVersion = "3"
+
+func saltFor(endpoint string) string {
+	return "labd/" + endpoint + "/" + cacheKeyVersion
+}
+
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // cachedEndpoints names every deterministic endpoint, in route order.
 // These are the keys of Config.Cache.DisableEndpoints/EndpointBytes and
 // of the labd.cache.* debug vars.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -144,8 +145,11 @@ func TestEncodeBodyMatchesWriteJSON(t *testing.T) {
 }
 
 // TestCacheNormalizesDefaults: a request spelling out the documented
-// defaults hits the entry populated by the all-defaults request — the
-// canonical keys normalize before hashing.
+// defaults hits the entry populated by the all-defaults request, and so
+// does one that differs only in a field its shape ignores or in an
+// equivalent spelling (max_steps at or past the cap, mini-C stdin and
+// max_steps without run, threads below one, packed, speedup at one
+// thread) — requests are normalized before they are keyed.
 func TestCacheNormalizesDefaults(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, DefaultTimeout: 30 * time.Second})
 	pairs := []struct {
@@ -164,6 +168,22 @@ func TestCacheNormalizesDefaults(t *testing.T) {
 			"/v1/homework?topic=binary-conversion&seed=31&n=1", ""},
 		{"survey", "GET", "/v1/survey/figure1", "",
 			"/v1/survey/figure1?seed=2022&students=120", ""},
+		{"asm", "POST", "/v1/asm/run", `{"source":"main:\n    movl $8, %ebx\n    movl $1, %eax\n    int $0x80\n"}`,
+			"/v1/asm/run", `{"source":"main:\n    movl $8, %ebx\n    movl $1, %eax\n    int $0x80\n","max_steps":10000000}`},
+		{"asm", "POST", "/v1/asm/run", `{"source":"main:\n    movl $9, %ebx\n    movl $1, %eax\n    int $0x80\n"}`,
+			"/v1/asm/run", `{"source":"main:\n    movl $9, %ebx\n    movl $1, %eax\n    int $0x80\n","max_steps":20000000}`},
+		{"minic", "POST", "/v1/minic/compile", `{"source":"int main() { return read_int(); }"}`,
+			"/v1/minic/compile", `{"source":"int main() { return read_int(); }","run":false,"stdin":"5","max_steps":7}`},
+		{"vm", "POST", "/v1/vm/sim", `{"trace":[{"pid":1,"addr":0},{"pid":2,"addr":300,"write":true}]}`,
+			"/v1/vm/sim", `{"page_size":256,"num_frames":8,"tlb_size":4,"num_pages":64,"trace":[{"pid":1,"addr":0},{"pid":2,"addr":300,"write":true}]}`},
+		{"life", "POST", "/v1/life/run", `{"seed":5,"threads":1}`,
+			"/v1/life/run", `{"seed":5,"threads":0}`},
+		{"life", "POST", "/v1/life/run", `{"seed":6,"threads":1}`,
+			"/v1/life/run", `{"seed":6,"threads":-3}`},
+		{"life", "POST", "/v1/life/run", `{"seed":7}`,
+			"/v1/life/run", `{"seed":7,"packed":true}`},
+		{"life", "POST", "/v1/life/run", `{"seed":8}`,
+			"/v1/life/run", `{"seed":8,"speedup":true}`},
 	}
 	for _, p := range pairs {
 		var implicitBody, explicitBody []byte
@@ -183,6 +203,105 @@ func TestCacheNormalizesDefaults(t *testing.T) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Errorf("%s: default-normalized responses diverge", p.endpoint)
+		}
+	}
+}
+
+// keyOf adapts an endpoint's key function to a request held as any.
+func keyOf[Req any](key func(Req) (uint64, bool)) func(any) uint64 {
+	return func(v any) uint64 {
+		k, _ := key(v.(Req))
+		return k
+	}
+}
+
+// otherValue sets v, a scalar field, to a value different from its own.
+func otherValue(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	default:
+		t.Fatalf("no second value for a %s field", v.Type())
+	}
+}
+
+// TestKeyHashesEveryField: setting any one field of a normalized request
+// to a second value changes its memo key. So does adding a trace element
+// or changing any field of one, and changing any homework or survey query
+// parameter. A field added to a request type but not to its key, which
+// would let two different requests share an entry, fails here.
+func TestKeyHashesEveryField(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	cases := []struct {
+		req any
+		key func(any) uint64
+	}{
+		{s.normalizeAsm(AsmRunRequest{Source: "main:", Stdin: "1"}), keyOf(asmKey)},
+		{s.normalizeMinic(MinicCompileRequest{Source: "int main() { return 0; }", Run: true, Stdin: "1"}), keyOf(minicKey)},
+		{s.normalizeCache(CacheSimRequest{Trace: []TraceAccess{{Addr: 64, Write: true}}, TableN: 2}), keyOf(cacheSimKey)},
+		{s.normalizeVM(VMSimRequest{Trace: []VMAccess{{Pid: 1, Addr: 64, Write: true}}}), keyOf(vmSimKey)},
+		{s.normalizeLife(LifeRunRequest{Threads: 2, Speedup: true}), keyOf(lifeKey)},
+	}
+	for _, c := range cases {
+		base := reflect.ValueOf(c.req)
+		want := c.key(c.req)
+		changed := func(what string, edit func(v reflect.Value)) {
+			v := reflect.New(base.Type()).Elem()
+			v.Set(base)
+			edit(v)
+			if c.key(v.Interface()) == want {
+				t.Errorf("%s: key ignores %s", base.Type(), what)
+			}
+		}
+		for i := 0; i < base.NumField(); i++ {
+			name := base.Type().Field(i).Name
+			if base.Field(i).Kind() != reflect.Slice {
+				changed(name, func(v reflect.Value) { otherValue(t, v.Field(i)) })
+				continue
+			}
+			elems := base.Field(i)
+			if elems.Len() == 0 {
+				t.Fatalf("%s: base request has no %s element", base.Type(), name)
+			}
+			// copyElems gives v a private copy of the slice to edit.
+			copyElems := func(v reflect.Value, extra int) reflect.Value {
+				cp := reflect.MakeSlice(elems.Type(), elems.Len()+extra, elems.Len()+extra)
+				reflect.Copy(cp, elems)
+				v.Field(i).Set(cp)
+				return cp
+			}
+			changed(name+" length", func(v reflect.Value) { copyElems(v, 1) })
+			for j := 0; j < elems.Type().Elem().NumField(); j++ {
+				what := name + "[0]." + elems.Type().Elem().Field(j).Name
+				changed(what, func(v reflect.Value) { otherValue(t, copyElems(v, 0).Index(0).Field(j)) })
+			}
+		}
+	}
+
+	hw := homeworkKey("binary-conversion", 5, 2, true)
+	for what, k := range map[string]uint64{
+		"topic":   homeworkKey("binary-arithmetic", 5, 2, true),
+		"seed":    homeworkKey("binary-conversion", 6, 2, true),
+		"n":       homeworkKey("binary-conversion", 5, 3, true),
+		"answers": homeworkKey("binary-conversion", 5, 2, false),
+	} {
+		if k == hw {
+			t.Errorf("homework key ignores %s", what)
+		}
+	}
+	sv := surveyKey(7, 25)
+	for what, k := range map[string]uint64{"seed": surveyKey(8, 25), "students": surveyKey(7, 26)} {
+		if k == sv {
+			t.Errorf("survey key ignores %s", what)
 		}
 	}
 }

@@ -77,11 +77,11 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) routes() {
-	registerJSON(s, "POST /v1/asm/run", "asm", asmKey, s.asmRun)
-	registerJSON(s, "POST /v1/minic/compile", "minic", minicKey, s.minicCompile)
-	registerJSON(s, "POST /v1/cache/sim", "cache", cacheSimKey, s.cacheSim)
-	registerJSON(s, "POST /v1/vm/sim", "vm", vmSimKey, s.vmSim)
-	registerJSON(s, "POST /v1/life/run", "life", lifeKey, s.lifeRun)
+	registerJSON(s, "POST /v1/asm/run", "asm", s.normalizeAsm, asmKey, s.asmRun)
+	registerJSON(s, "POST /v1/minic/compile", "minic", s.normalizeMinic, minicKey, s.minicCompile)
+	registerJSON(s, "POST /v1/cache/sim", "cache", s.normalizeCache, cacheSimKey, s.cacheSim)
+	registerJSON(s, "POST /v1/vm/sim", "vm", s.normalizeVM, vmSimKey, s.vmSim)
+	registerJSON(s, "POST /v1/life/run", "life", s.normalizeLife, lifeKey, s.lifeRun)
 	s.handle("GET /v1/homework", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		topic := q.Get("topic")
@@ -96,6 +96,10 @@ func (s *Server) routes() {
 			return
 		}
 		answers := q.Get("answers") != "false"
+		if topic == "" {
+			// The topic listing ignores every other parameter.
+			seed, n64, answers = 0, 0, false
+		}
 		key := homeworkKey(topic, seed, int(n64), answers)
 		s.serveCached(w, r, "homework", key, true, func(ctx context.Context) (any, error) {
 			return s.homeworkGen(ctx, topic, seed, int(n64), answers)
@@ -298,10 +302,10 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 // registerJSON adapts a typed request/response handler onto the memoized
-// queued path: decode the JSON body (1 MiB cap) up front, derive the
-// request's canonical cache key, then serve from cache or run the
-// simulator work through the pool and encode the reply.
-func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, keyFn func(*Server, Req) (uint64, bool), fn func(ctx context.Context, req Req) (Resp, error)) {
+// queued path: decode the JSON body (1 MiB cap) up front and normalize
+// it, key the normalized request, then serve from cache or run the
+// simulator work on it through the pool and encode the reply.
+func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, normalize func(Req) Req, keyFn func(Req) (uint64, bool), fn func(ctx context.Context, req Req) (Resp, error)) {
 	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if err := decodeBody(r, &req); err != nil {
@@ -313,7 +317,8 @@ func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, keyFn func
 			writeJSON(w, status, errorBody{Error: "decode request: " + err.Error()})
 			return
 		}
-		key, cacheable := keyFn(s, req)
+		req = normalize(req)
+		key, cacheable := keyFn(req)
 		s.serveCached(w, r, endpoint, key, cacheable, func(ctx context.Context) (any, error) {
 			return fn(ctx, req)
 		})

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // TokKind classifies a lexical token.
@@ -99,7 +99,7 @@ func Lex(src string) ([]Token, error) {
 			}
 			line += strings.Count(src[i:i+2+end+2], "\n")
 			i += 2 + end + 2
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isIdentStart(c):
 			start := i
 			for i < n && (isIdentChar(src[i])) {
 				i++
@@ -181,7 +181,8 @@ func Lex(src string) ([]Token, error) {
 				}
 			}
 			if !matched {
-				return nil, cerrf(line, "unexpected character %q", c)
+				r, _ := utf8.DecodeRuneInString(src[i:])
+				return nil, cerrf(line, "unexpected character %q", r)
 			}
 		}
 	}
@@ -189,8 +190,15 @@ func Lex(src string) ([]Token, error) {
 	return toks, nil
 }
 
+// isIdentStart reports whether c starts an identifier: '_' or an ASCII
+// letter. A non-ASCII byte is never part of one, so it falls through to
+// "unexpected character".
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+}
+
 func isIdentChar(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+	return isIdentStart(c) || c >= '0' && c <= '9'
 }
 
 func unescape(c byte) (byte, bool) {

@@ -439,36 +439,40 @@ int main() {
 	}
 }
 
+// compileErrorCases are sources Compile must reject; FuzzMinicCompile
+// seeds from them too.
+var compileErrorCases = []struct{ name, src string }{
+	{"no main", "int f() { return 1; }"},
+	{"undefined var", "int main() { return x; }"},
+	{"undefined func", "int main() { return f(); }"},
+	{"arity", "int f(int a) { return a; } int main() { return f(); }"},
+	{"dup function", "int f() { return 1; } int f() { return 2; } int main() { return 0; }"},
+	{"dup global", "int x; int x; int main() { return 0; }"},
+	{"dup local", "int main() { int x; int x; return 0; }"},
+	{"void var", "int main() { void v; return 0; }"},
+	{"break outside loop", "int main() { break; return 0; }"},
+	{"continue outside loop", "int main() { continue; return 0; }"},
+	{"assign to literal", "int main() { 3 = 4; return 0; }"},
+	{"deref int", "int main() { int x; return *x; }"},
+	{"void deref", "int main() { return *malloc(4); }"},
+	{"ptr mismatch", "int main() { int x; char *p; p = &x; return 0; }"},
+	{"return value from void", "void f() { return 3; } int main() { f(); return 0; }"},
+	{"missing return value", "int f() { return; } int main() { return f(); }"},
+	{"redefine builtin", "int malloc(int n) { return n; } int main() { return 0; }"},
+	{"bad token", "int main() { return @; }"},
+	{"unterminated string", `int main() { print_str("abc); return 0; }`},
+	{"unterminated comment", "/* int main() { return 0; }"},
+	{"array assign", "int main() { int a[3]; int b[3]; a = b; return 0; }"},
+	{"index non-pointer", "int main() { int x; return x[0]; }"},
+	{"ptr plus ptr", "int main() { int a[2]; int b[2]; return a + b != 0; }"},
+	{"negative array len", "int main() { int a[0]; return 0; }"},
+	{"global array init", "int a[3] = 5; int main() { return 0; }"},
+	{"call non-function var", "int x; int main() { return x(); }"},
+	{"non-ascii letter", "int café = 1;"},
+}
+
 func TestCompileErrors(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"no main", "int f() { return 1; }"},
-		{"undefined var", "int main() { return x; }"},
-		{"undefined func", "int main() { return f(); }"},
-		{"arity", "int f(int a) { return a; } int main() { return f(); }"},
-		{"dup function", "int f() { return 1; } int f() { return 2; } int main() { return 0; }"},
-		{"dup global", "int x; int x; int main() { return 0; }"},
-		{"dup local", "int main() { int x; int x; return 0; }"},
-		{"void var", "int main() { void v; return 0; }"},
-		{"break outside loop", "int main() { break; return 0; }"},
-		{"continue outside loop", "int main() { continue; return 0; }"},
-		{"assign to literal", "int main() { 3 = 4; return 0; }"},
-		{"deref int", "int main() { int x; return *x; }"},
-		{"void deref", "int main() { return *malloc(4); }"},
-		{"ptr mismatch", "int main() { int x; char *p; p = &x; return 0; }"},
-		{"return value from void", "void f() { return 3; } int main() { f(); return 0; }"},
-		{"missing return value", "int f() { return; } int main() { return f(); }"},
-		{"redefine builtin", "int malloc(int n) { return n; } int main() { return 0; }"},
-		{"bad token", "int main() { return @; }"},
-		{"unterminated string", `int main() { print_str("abc); return 0; }`},
-		{"unterminated comment", "/* int main() { return 0; }"},
-		{"array assign", "int main() { int a[3]; int b[3]; a = b; return 0; }"},
-		{"index non-pointer", "int main() { int x; return x[0]; }"},
-		{"ptr plus ptr", "int main() { int a[2]; int b[2]; return a + b != 0; }"},
-		{"negative array len", "int main() { int a[0]; return 0; }"},
-		{"global array init", "int a[3] = 5; int main() { return 0; }"},
-		{"call non-function var", "int x; int main() { return x(); }"},
-	}
-	for _, c := range cases {
+	for _, c := range compileErrorCases {
 		if _, err := Compile(c.src); err == nil {
 			t.Errorf("%s: expected compile error", c.name)
 		}
@@ -486,6 +490,21 @@ func TestCompileErrorHasLine(t *testing.T) {
 	}
 	if !strings.Contains(ce.Error(), "line 2") {
 		t.Errorf("message %q", ce.Error())
+	}
+}
+
+// TestLexNonASCIINamesRune: a non-ASCII letter cannot start or continue
+// an identifier, and the error names the character, not its first byte.
+func TestLexNonASCIINamesRune(t *testing.T) {
+	for src, want := range map[string]string{
+		"int café = 1;":  `line 1: unexpected character 'é'`,
+		"int x;\nint ñ;": `line 2: unexpected character 'ñ'`,
+		"int x\xff;":     "line 1: unexpected character '\ufffd'",
+	} {
+		_, err := Lex(src)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Lex(%q) = %v, want %q", src, err, want)
+		}
 	}
 }
 
