@@ -444,6 +444,32 @@ func BenchmarkLifeEngines(b *testing.B) {
 	})
 }
 
+// BenchmarkLifeStep times one serial generation, Grid.Step, on a seeded
+// density-0.3 torus at the widths the workloads use: labd's small life
+// requests (32²), the classroom mix's largest board (256²) and
+// cs31bench's life-large board (2048², above the per-core L2). The kernel
+// must not allocate. gen1-updates, the cells the seeded board's first
+// generation changes, is counted on a clone outside the timer: a shape
+// metric that pins the kernel's answer at each width.
+func BenchmarkLifeStep(b *testing.B) {
+	for _, n := range []int{32, 256, 2048} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			g, err := life.NewGrid(n, n, life.Torus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Randomize(31, 0.3)
+			updates := g.Clone().RunCounted(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Step()
+			}
+			b.ReportMetric(float64(updates), "gen1-updates")
+		})
+	}
+}
+
 // BenchmarkPopulation times Grid.Population, one popcount per 64-cell
 // word. The population metric is deterministic for the seeded board, and
 // the count must not allocate.

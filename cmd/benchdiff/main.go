@@ -45,13 +45,15 @@ import (
 // sweep engine itself), the compiled gate-level circuit engine (plan
 // settle, gate-level datapath, 64-lane batch verify), the message-passing
 // runtime (tree Allreduce, ring halo exchange), the three Life engines on
-// their one bit-packed SWAR kernel (serial, 8 threads, 8 ranks) plus the
-// popcount Population path and 128x128 board seeding (Randomize, which
-// every fresh labd life request pays), labd's memo hit (a small life
-// body and a 256-access cache trace, whose decode dominates) and miss,
-// and the observability pass's two: the zero-overhead disabled path
-// (also pinned at 0 allocs/op via the allocs/op shape invariant) and the
-// /metrics scrape (whose families count pins the exposition's shape).
+// their one bit-packed SWAR kernel (serial, 8 threads, 8 ranks), one
+// serial generation of that kernel on the life-large workload's 2048x2048
+// board, the popcount Population path and 128x128 board seeding
+// (Randomize, which every fresh labd life request pays), labd's memo hit
+// (a small life body and a 256-access cache trace, whose decode
+// dominates) and miss, and the observability pass's two: the
+// zero-overhead disabled path (also pinned at 0 allocs/op via the
+// allocs/op shape invariant) and the /metrics scrape (whose families
+// count pins the exposition's shape).
 //
 // It is the one gate list: -print-gate prints defaultGate, and CI's timed
 // step and the baseline's regeneration command run exactly that.
@@ -60,7 +62,7 @@ var gatedBenchmarks = []string{
 	"BenchmarkBarrierWait/tree-4", "BenchmarkBarrierWait/tree-16", "BenchmarkSweepGrid",
 	"BenchmarkCircuitSettle/compiled", "BenchmarkGateALU", "BenchmarkALUVerifyBatch",
 	"BenchmarkAllreduce", "BenchmarkHaloExchange/packed-4096",
-	"BenchmarkLifeEngines/serial", "BenchmarkLifeEngines/parallel-8", "BenchmarkLifeEngines/dist-8",
+	"BenchmarkLifeEngines/serial", "BenchmarkLifeEngines/parallel-8", "BenchmarkLifeEngines/dist-8", "BenchmarkLifeStep/2048",
 	"BenchmarkPopulation/packed", "BenchmarkRandomize/128",
 	"BenchmarkMemoHit", "BenchmarkLabdCacheHit", "BenchmarkLabdCacheHitTrace", "BenchmarkLabdCacheMiss",
 	"BenchmarkParallelMergeSort/threads-1", "BenchmarkParallelMergeSort/threads-8",

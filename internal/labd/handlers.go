@@ -48,6 +48,7 @@ const (
 	maxVMFrames    = 1 << 12 // vm num_frames
 	maxTLBEntries  = 1 << 10 // vm tlb_size
 	maxPageEntries = 1 << 20 // vm num_pages times the trace's distinct pids
+	maxTableRows   = 1 << 12 // cache table_n: all of the default 64x64 workload
 	maxLifeIters   = 10_000
 	maxLifeThreads = 64
 	maxProblems    = 100
@@ -331,11 +332,15 @@ func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimRespo
 	// Sizes cache.Validate rejects anyway (non-positive, or a block*assoc
 	// that does not divide the size) keep its message; these two would
 	// allocate past the bound or wrap block*assoc around to zero first.
+	// table_n sizes the rendered access table, one row per access.
 	if cfg.SizeBytes > 0 && cfg.BlockSize > 0 && cfg.SizeBytes/cfg.BlockSize > maxCacheLines {
 		return resp, badReqf("cache of %d lines exceeds %d (size_bytes/block_size)", cfg.SizeBytes/cfg.BlockSize, maxCacheLines)
 	}
 	if cfg.BlockSize > 0 && cfg.Assoc > 0 && cfg.BlockSize > math.MaxInt/cfg.Assoc {
 		return resp, badReqf("block_size %d times assoc %d overflows", cfg.BlockSize, cfg.Assoc)
+	}
+	if req.TableN > maxTableRows {
+		return resp, badReqf("table_n %d exceeds %d", req.TableN, maxTableRows)
 	}
 
 	trace, err := buildTrace(req)

@@ -172,6 +172,15 @@ var validationCases = []struct {
 `,
 	},
 	{
+		name: "cache-table-rows-exceed", method: "POST", path: "/v1/cache/sim",
+		body:   `{"workload":"rowmajor","rows":1024,"cols":1024,"table_n":1048576}`,
+		status: 400,
+		want: `{
+  "error": "table_n 1048576 exceeds 4096"
+}
+`,
+	},
+	{
 		name: "cache-no-trace-or-workload", method: "POST", path: "/v1/cache/sim",
 		body:   `{"rows":8,"cols":8}`,
 		status: 400,

@@ -10,21 +10,25 @@ package life
 // the kernel's edge-word mask all maintain the invariant, and every shifted
 // neighbor gather relies on it.
 //
-// Neighbor counting is branch-free boolean algebra. For one output word the
-// kernel gathers nine aligned masks — the three source rows (up, current,
-// down; ghost rows synthesized per edge mode), each in three horizontal
-// alignments (west neighbor, center, east neighbor; ghost columns OR'd into
-// the row-edge words) — and adds them with bitwise full-adder chains into
-// three bit planes n0/n1/n2 (1s, 2s, 4s). The plane arithmetic saturates
-// the one overflow case (neighbor count 8 is represented as 4), which is
-// harmless because both counts mean death. The birth/survival rule then
-// resolves without a single per-cell branch:
+// Neighbor counting is branch-free boolean algebra on column sums. Each
+// word column's vertical sum V = up+current+down is formed once, as two
+// bit planes (1s, 2s), and rolled along the row in registers, because a
+// column's sum is shared by its west, center and east neighbors. For one
+// output word the count is
 //
-//	next = n1 & ~n2 & (n0 | current)
+//	N = west(V) + P + east(V),   P = up + down
+//
+// where west/east are the neighbor columns' V planes shifted one lane,
+// taking the adjacent word's edge bit or, at the row's ends, the edge
+// mode's summed ghost column. Two full adders give N's 1s bit x0, its 2s
+// bit t and a carry k worth 4, and the birth/survival rule resolves
+// without a single per-cell branch:
+//
+//	next = t &^ k & (x0 | current)
 //
 // i.e. alive next iff the count is exactly 3, or exactly 2 with the cell
-// already live. Live-update statistics come back for free as
-// bits.OnesCount64(next ^ current) per word.
+// already live: about 40 integer ops per 64 cells. Live-update statistics
+// come back for free as bits.OnesCount64(next ^ current) per word.
 
 import "math/bits"
 
@@ -95,27 +99,57 @@ func packedGhostCols(row []uint64, mode EdgeMode, lastLane uint) (west, east uin
 	}
 }
 
+// colSum returns the vertical sum up+cur+down of one word column, lane by
+// lane, as two bit planes: 1s and 2s (the sum is at most 3).
+func colSum(u, c, d uint64) (v0, v1 uint64) {
+	p0 := u ^ d
+	return p0 ^ c, u&d | p0&c
+}
+
+// fullAdd adds three bit planes lane by lane into a sum and a carry plane.
+func fullAdd(a, b, c uint64) (sum, carry uint64) {
+	x := a ^ b
+	return x ^ c, a&b | x&c
+}
+
+// lifeWord returns the next state of one word from its own column (u, c,
+// d: the up, current and down rows) and the column sums of its west and
+// east neighbors (w0/w1, e0/e1), already shifted into lane alignment.
+// The neighbor count is N = west + (u+d) + east. The 1s planes add to the
+// count's 1s bit x0 and a carry k0; the 2s planes add to t1 and a carry k
+// worth 4. The count's 2s bit is t = t1^k0, and N is 2 or 3 exactly when
+// t is set and k is not: a set t rules out t1&k0, the other way to reach
+// 4. N = 8 reads as k, so nothing wraps.
+func lifeWord(u, c, d, w0, w1, e0, e1 uint64) uint64 {
+	x0, k0 := fullAdd(w0, u^d, e0)
+	t1, k := fullAdd(w1, u&d, e1)
+	t := t1 ^ k0
+	return t &^ k & (x0 | c)
+}
+
 // stepPackedSlices computes the next generation for rows [loRow, hiRow) ×
 // words [loW, hiW) of src into dst and returns how many cells changed
 // state. It is the packed hot kernel shared by the serial engine, the
 // ParallelRunner tiles, and the DistRunner bands. Tiles split on word
-// boundaries: an output word reads only its own row triple (plus the
-// adjacent words for the shifted alignments) from the read-only source
-// parity buffer, so concurrent tiles never write-share a word. Allocates
-// nothing.
+// boundaries: an output word reads only its own row triple and the column
+// sums of the adjacent words from the read-only source parity buffer, so
+// concurrent tiles never write-share a word. Allocates nothing.
 func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW int) int64 {
 	if loRow >= hiRow || loW >= hiW {
 		return 0
 	}
 	lastLane := uint(cols-1) & 63
 	lastMask := lastWordMask(cols)
+	// Words [loW, end) have an east neighbor word. The row's last word,
+	// when the tile holds it, takes the east ghost column after the loop.
+	end := min(hiW, wpr-1)
 	var changed int64
 	for r := loRow; r < hiRow; r++ {
 		base := r * wpr
 		cur := src[base : base+wpr]
 		out := dst[base : base+wpr]
-		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)
-		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)
+		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)[:wpr]
+		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)[:wpr]
 		// Ghost columns are per-row: a ghost row's own ghost corners come
 		// from that row (e.g. the torus corner is the wrapped row's far
 		// cell), matching stepReference's independent row/column mapping
@@ -123,62 +157,34 @@ func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, m
 		uw, ue := packedGhostCols(up, mode, lastLane)
 		cw, ce := packedGhostCols(cur, mode, lastLane)
 		dw, de := packedGhostCols(down, mode, lastLane)
-		for w := loW; w < hiW; w++ {
-			uc, cc, dc := up[w], cur[w], down[w]
-			// West-aligned neighbors: lane j receives column j-1. The low
-			// lane takes the previous word's top bit, or the ghost column
-			// at the row's west edge.
-			var ul, cl, dl uint64
-			if w > 0 {
-				ul = uc<<1 | up[w-1]>>63
-				cl = cc<<1 | cur[w-1]>>63
-				dl = dc<<1 | down[w-1]>>63
-			} else {
-				ul = uc<<1 | uw
-				cl = cc<<1 | cw
-				dl = dc<<1 | dw
-			}
-			// East-aligned neighbors: lane j receives column j+1. The top
-			// valid lane takes the next word's low bit, or the ghost column
-			// at the row's east edge (slack lanes above it are zero by
-			// invariant, so the OR lands on clean bits).
-			var ur, cr, dr uint64
-			if w < wpr-1 {
-				ur = uc>>1 | up[w+1]<<63
-				cr = cc>>1 | cur[w+1]<<63
-				dr = dc>>1 | down[w+1]<<63
-			} else {
-				ur = uc>>1 | ue<<lastLane
-				cr = cc>>1 | ce<<lastLane
-				dr = dc>>1 | de<<lastLane
-			}
-			// Full-adder chains. Row triples first: a (up row) and b (down
-			// row) are 2-bit sums of three lanes; c (current row) sums only
-			// the two horizontal neighbors — the center cell is not its own
-			// neighbor.
-			a0 := ul ^ uc ^ ur
-			a1 := (ul & uc) | (ur & (ul ^ uc))
-			b0 := dl ^ dc ^ dr
-			b1 := (dl & dc) | (dr & (dl ^ dc))
-			c0 := cl ^ cr
-			c1 := cl & cr
-			// Combine the three partial sums into planes n0 (1s), n1 (2s),
-			// n2 (4s). k0 carries from the ones plane; k1/k2 are the twos
-			// plane's carries, OR'd into n2 — their only simultaneous case
-			// represents count 8 as 4, dead either way.
-			n0 := a0 ^ b0 ^ c0
-			k0 := (a0 & b0) | (c0 & (a0 ^ b0))
-			s := a1 ^ b1 ^ c1
-			k1 := (a1 & b1) | (c1 & (a1 ^ b1))
-			n1 := s ^ k0
-			k2 := s & k0
-			n2 := k1 | k2
-			next := n1 &^ n2 & (n0 | cc)
-			if w == wpr-1 {
-				next &= lastMask
-			}
+		// l0/l1 is the column sum west of word w, whose lane 63 neighbors
+		// lane 0: the previous word's, or at the row's west edge the
+		// summed ghost column. v0/v1 is word w's own, rolled along the row
+		// so each column is summed once.
+		var l0, l1 uint64
+		if loW > 0 {
+			l0, l1 = colSum(up[loW-1], cur[loW-1], down[loW-1])
+		} else {
+			l0, l1 = colSum(uw<<63, cw<<63, dw<<63)
+		}
+		v0, v1 := colSum(up[loW], cur[loW], down[loW])
+		w := loW
+		for ; w < end; w++ {
+			n0, n1 := colSum(up[w+1], cur[w+1], down[w+1])
+			next := lifeWord(up[w], cur[w], down[w], v0<<1|l0>>63, v1<<1|l1>>63, v0>>1|n0<<63, v1>>1|n1<<63)
 			out[w] = next
-			changed += int64(bits.OnesCount64(next ^ cc))
+			changed += int64(bits.OnesCount64(next ^ cur[w]))
+			l0, l1, v0, v1 = v0, v1, n0, n1
+		}
+		if w < hiW {
+			// The row's last word: its east neighbor of lane lastLane is
+			// the summed east ghost column. Slack lanes above lastLane
+			// are zero by invariant, so the OR lands on clean bits, and
+			// the mask clears what the west shift carried into them.
+			e0, e1 := colSum(ue, ce, de)
+			next := lifeWord(up[w], cur[w], down[w], v0<<1|l0>>63, v1<<1|l1>>63, v0>>1|e0<<lastLane, v1>>1|e1<<lastLane) & lastMask
+			out[w] = next
+			changed += int64(bits.OnesCount64(next ^ cur[w]))
 		}
 	}
 	return changed

@@ -37,6 +37,76 @@ func TestPackedStepMatchesReference(t *testing.T) {
 	}
 }
 
+// TestStepTileMatchesReference holds one kernel call on one tile to the
+// reference generation, the tile contract ByCols tiles and the sharded
+// LiveUpdates rely on: the tile's words equal stepReference's next board,
+// every word outside the tile keeps its sentinel, and the return value is
+// the reference's count of changed cells inside the tile. The tiles start
+// and end on both row edges and at interior words, so each one exercises
+// the west carry-in from the word left of it or the west ghost column,
+// and the east carry from the word right of it or the east ghost column.
+func TestStepTileMatchesReference(t *testing.T) {
+	const sentinel = 0xa5a5_5a5a_c3c3_3c3c
+	for _, mode := range allModes {
+		for _, cols := range []int{1, 63, 64, 65, 127, 130, 200} {
+			start, err := NewGrid(7, cols, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start.Randomize(int64(cols)*7+int64(mode), 0.4)
+			ref := start.Clone()
+			ref.stepReference()
+			rows, wpr := start.Rows, start.wpr
+			tiles := []struct {
+				name                   string
+				loRow, hiRow, loW, hiW int
+			}{
+				{"empty-rows", 3, 3, 0, wpr},
+				{"empty-words", 0, rows, wpr, wpr},
+				{"single-word", 3, 4, wpr / 2, wpr/2 + 1},
+				{"first-word", 0, rows, 0, 1},
+				{"last-word", 0, rows, wpr - 1, wpr},
+				{"interior", 1, rows - 1, 1, max(1, wpr-1)},
+				{"to-row-end", 2, rows, wpr / 2, wpr},
+				{"full", 0, rows, 0, wpr},
+			}
+			for _, tile := range tiles {
+				loRow, hiRow, loW, hiW := tile.loRow, tile.hiRow, tile.loW, tile.hiW
+				t.Run(fmt.Sprintf("%v/cols-%d/%s", mode, cols, tile.name), func(t *testing.T) {
+					g := start.Clone()
+					for i := range g.next {
+						g.next[i] = sentinel
+					}
+					got := g.stepPackedBlock(loRow, hiRow, loW, hiW)
+					var want int64
+					for r := loRow; r < hiRow; r++ {
+						for c := loW * 64; c < min(hiW*64, cols); c++ {
+							if ref.Alive(r, c) != start.Alive(r, c) {
+								want++
+							}
+						}
+					}
+					if got != want {
+						t.Errorf("returned %d changed cells, reference changed %d inside the tile", got, want)
+					}
+					for r := 0; r < rows; r++ {
+						for w := 0; w < wpr; w++ {
+							i := r*wpr + w
+							inside := r >= loRow && r < hiRow && w >= loW && w < hiW
+							switch {
+							case inside && g.next[i] != ref.cells[i]:
+								t.Errorf("row %d word %d: %#x, reference %#x", r, w, g.next[i], ref.cells[i])
+							case !inside && g.next[i] != sentinel:
+								t.Errorf("row %d word %d outside the tile was written: %#x", r, w, g.next[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestPackedRaggedWidthsMatchesReference is the ragged-width property
 // sweep: widths sitting exactly on, one below, and one above the 64-lane
 // word boundary (plus multi-word raggeds) across every edge mode and
