@@ -261,6 +261,26 @@ func TestParallelRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// TestDistRunCtxPreCanceled: an already-canceled context refuses the
+// distributed run before any rank starts, leaving the grid untouched.
+func TestDistRunCtxPreCanceled(t *testing.T) {
+	g, err := NewGrid(8, 8, Torus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Randomize(1, 0.4)
+	before := g.Clone()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dr := &DistRunner{G: g, Ranks: 2}
+	if _, err := dr.RunCtx(ctx, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if g.Generation != 0 || !g.Equal(before) {
+		t.Errorf("pre-canceled run changed the grid (generation %d)", g.Generation)
+	}
+}
+
 // TestDistWatchdogPassesCleanRun: an armed watchdog on a healthy
 // distributed run must stay silent — the detector is sound.
 func TestDistWatchdogPassesCleanRun(t *testing.T) {

@@ -478,7 +478,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 	stopRound.Store(noStop)
 	ctxDone := ctx.Done()
 
-	worker := func(id int) interface{} {
+	worker := func(id int) error {
 		lo, hi := pthread.BlockRange(id, threads, extent)
 		loRow, hiRow, loW, hiW := lo, hi, 0, wpr
 		if !byRows {
@@ -527,7 +527,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		return nil
 	}
 
-	if err := runWorkers(threads, worker); err != nil {
+	if err := pthread.ForkJoin(threads, worker); err != nil {
 		return nil, err
 	}
 	for id := 0; id < threads; id++ {
@@ -537,26 +537,6 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		return nil, fmt.Errorf("life: parallel run canceled after %d of %d rounds: %w", stats.Rounds, n, ctx.Err())
 	}
 	return stats, nil
-}
-
-// runWorkers spawns one pthread per id, joins them all, and surfaces the
-// first worker error.
-func runWorkers(threads int, worker func(id int) interface{}) error {
-	ts := make([]*pthread.Thread, threads)
-	for id := 0; id < threads; id++ {
-		id := id
-		ts[id] = pthread.Create(func() interface{} { return worker(id) })
-	}
-	for _, t := range ts {
-		v, err := t.Join()
-		if err != nil {
-			return err
-		}
-		if e, ok := v.(error); ok && e != nil {
-			return e
-		}
-	}
-	return nil
 }
 
 // Owner reports which thread owns cell (r, c) under the runner's

@@ -507,6 +507,32 @@ func TestAbortedWorldStaysDead(t *testing.T) {
 	}
 }
 
+// TestRunCtxPreCanceled: an already-done context aborts the world with its
+// error before any rank function runs — rank 0 runs on the caller, so
+// without the up-front check it could start before the context watcher.
+func TestRunCtxPreCanceled(t *testing.T) {
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := make(chan int, 2)
+	err = w.RunCtx(ctx, func(c *Comm) error {
+		ran <- c.Rank()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if len(ran) != 0 {
+		t.Errorf("%d rank functions ran under a canceled context", len(ran))
+	}
+	if !errors.Is(w.AbortCause(), context.Canceled) {
+		t.Errorf("AbortCause() = %v, want context.Canceled", w.AbortCause())
+	}
+}
+
 // TestFailValidation: failing an out-of-range rank is an error, and failing
 // a rank twice is a no-op.
 func TestFailValidation(t *testing.T) {

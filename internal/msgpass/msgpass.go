@@ -24,8 +24,14 @@
 //     discipline as internal/pthread.Barrier's combining tree, expressed
 //     with messages instead of shared counters.
 //
+// A receive waits in two phases. An untimed one (Recv and every
+// collective) first polls its inbox through pthread.Spin, the bounded
+// Gosched spin pthread.Barrier also runs, and only then parks; timed
+// receives park at once. World.Run runs rank 0 on the calling goroutine
+// and every other rank on its own thread (pthread.ForkJoin).
+//
 // Parallel programs fail in ways sequential ones cannot, so the runtime
-// carries a fault layer rather than documenting its hangs: every blocking
+// carries a fault layer rather than documenting its hangs: every parked
 // operation publishes a wait-set entry and listens for world-wide abort
 // and per-rank failure signals. On top of that sit a seeded Chaos
 // transport hook (WithChaos: bounded delivery delays and rank stalls), a
@@ -249,9 +255,10 @@ func (w *World) Fail(r int) error {
 	return nil
 }
 
-// Run spawns one thread per rank, invokes fn with that rank's Comm, joins
-// them all, and returns the lowest-rank error (so the outcome does not
-// depend on scheduling).
+// Run invokes fn with every rank's Comm, rank 0 on the calling goroutine
+// and every other rank on its own thread (pthread.ForkJoin), joins them
+// all, and returns the lowest-rank error (so the outcome does not depend
+// on scheduling).
 func (w *World) Run(fn func(c *Comm) error) error {
 	return w.RunCtx(context.Background(), fn)
 }
@@ -259,14 +266,19 @@ func (w *World) Run(fn func(c *Comm) error) error {
 // RunCtx is Run under a context: when ctx is canceled the world aborts,
 // every blocked rank returns promptly with an error wrapping ctx.Err(),
 // and RunCtx still joins every rank thread before returning — a canceled
-// run leaves zero live rank goroutines behind. With WithWatchdog armed,
-// the deadlock monitor runs for the duration of the call.
+// run leaves zero live rank goroutines behind. A context that is already
+// done aborts the world before any rank function runs. With WithWatchdog
+// armed, the deadlock monitor runs for the duration of the call.
 func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
 	if fn == nil {
 		return fmt.Errorf("msgpass: nil rank function")
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		w.abortWith(err)
+		return fmt.Errorf("msgpass: run not started: %w", err)
 	}
 	joined := make(chan struct{})
 	defer close(joined)
@@ -282,27 +294,16 @@ func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
 	if w.watchdog > 0 {
 		go w.watchdogLoop(joined)
 	}
-	threads := make([]*pthread.Thread, w.size)
-	for r := 0; r < w.size; r++ {
+	return pthread.ForkJoin(w.size, func(r int) error {
 		c := w.comms[r]
-		threads[r] = pthread.Create(func() interface{} {
-			w.running.Add(1)
-			defer w.running.Add(-1)
-			defer c.done.Store(true)
-			return fn(c)
-		})
-	}
-	var firstErr error
-	for r, t := range threads {
-		v, err := t.Join()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("msgpass: rank %d: %w", r, err)
+		w.running.Add(1)
+		defer w.running.Add(-1)
+		defer c.done.Store(true)
+		if err := fn(c); err != nil {
+			return fmt.Errorf("msgpass: rank %d: %w", r, err)
 		}
-		if e, ok := v.(error); ok && e != nil && firstErr == nil {
-			firstErr = fmt.Errorf("msgpass: rank %d: %w", r, e)
-		}
-	}
-	return firstErr
+		return nil
+	})
 }
 
 // CommStats is one rank's traffic counters.
@@ -616,10 +617,12 @@ func (c *Comm) recvWait(source, tag int, deadline <-chan time.Time, timeout time
 }
 
 // recvMatch is the unchecked matching loop: scan pending in arrival
-// order, then park on the inbox — queuing mismatches — until the wanted
-// (source, tag) shows, the deadline fires, the source (or this rank) is
-// failed, or the world aborts. timeout is only for error reporting;
-// deadline carries the actual clock.
+// order, then (untimed receives only) poll the inbox through pthread's
+// bounded Gosched spin, then publish the wait and park on the inbox —
+// queuing mismatches all along — until the wanted (source, tag) shows,
+// the deadline fires, the source (or this rank) is failed, or the world
+// aborts. timeout is only for error reporting; deadline carries the
+// actual clock.
 func (c *Comm) recvMatch(source, tag int, deadline <-chan time.Time, timeout time.Duration) (any, error) {
 	if err := c.opEntry("recv", source, tag); err != nil {
 		return nil, err
@@ -634,6 +637,15 @@ func (c *Comm) recvMatch(source, tag int, deadline <-chan time.Time, timeout tim
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
 			return c.deliver(env), nil
 		}
+	}
+	// The spin usually sees the match arrive without parking; a timed
+	// receive parks at once, so a non-positive timeout stays a poll.
+	var env envelope
+	if deadline == nil && pthread.Spin(func() (ok bool) {
+		env, ok = c.drain(source, tag)
+		return ok
+	}) {
+		return c.deliver(env), nil
 	}
 	src := c.world.comms[source]
 	kind := waitRecv
@@ -656,22 +668,31 @@ func (c *Comm) recvMatch(source, tag int, deadline <-chan time.Time, timeout tim
 			return nil, &RankFailedError{Rank: c.rank}
 		case <-src.failed:
 			// The source is dead, but messages it sent before dying may
-			// still sit in the inbox: drain without blocking, deliver a
-			// match if one was in flight, and only then report the death.
-			for {
-				select {
-				case env := <-c.inbox:
-					if env.source == source && env.tag == tag {
-						return c.deliver(env), nil
-					}
-					c.pending = append(c.pending, env)
-					c.stirWait()
-				default:
-					return nil, &RankFailedError{Rank: source}
-				}
+			// still sit in the inbox: drain it, deliver a match if one was
+			// in flight, and only then report the death.
+			if env, ok := c.drain(source, tag); ok {
+				return c.deliver(env), nil
 			}
+			return nil, &RankFailedError{Rank: source}
 		case <-deadline:
 			return nil, &TimeoutError{Rank: c.rank, Source: source, Tag: tag, Timeout: timeout}
+		}
+	}
+}
+
+// drain takes envelopes from the inbox without blocking until it finds one
+// from (source, tag) or the inbox is empty, queuing mismatches on pending
+// in arrival order.
+func (c *Comm) drain(source, tag int) (envelope, bool) {
+	for {
+		select {
+		case env := <-c.inbox:
+			if env.source == source && env.tag == tag {
+				return env, true
+			}
+			c.pending = append(c.pending, env)
+		default:
+			return envelope{}, false
 		}
 	}
 }

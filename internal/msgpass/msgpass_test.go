@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSendRecvBasic(t *testing.T) {
@@ -110,6 +111,65 @@ func TestNonOvertakingSameTag(t *testing.T) {
 			}
 			if got != -i {
 				return fmt.Errorf("tag 6 message %d arrived as %d", i, got)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecvPollsThenParks pins the two-phase untimed receive: mismatched
+// envelopes already queued when Recv starts are pended in arrival order by
+// the spin, a match sent only after the receiver has published its wait
+// (parked, well past any spin) is still delivered, and later receives take
+// the pended envelopes in arrival order.
+func TestRecvPollsThenParks(t *testing.T) {
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan struct{})
+	err = w.Run(func(c *Comm) error {
+		switch c.Rank() {
+		case 1:
+			for _, v := range []string{"first", "second"} {
+				if err := Send(c, 0, 1, v); err != nil {
+					return err
+				}
+			}
+			close(queued)
+			// Send the match only once rank 0's wait-state is published:
+			// its spin has run out and it is parked in the select.
+			rx := w.comms[0]
+			for deadline := time.Now().Add(5 * time.Second); rx.waitSeq.Load()%2 == 0; {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("rank 0 never parked")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return Send(c, 0, 0, "match")
+		case 0:
+			<-queued
+			got, err := Recv[string](c, 1, 0)
+			if err != nil {
+				return err
+			}
+			if got != "match" {
+				return fmt.Errorf("Recv(1, 0) = %q, want match", got)
+			}
+			if len(c.pending) != 2 {
+				return fmt.Errorf("%d envelopes pended, want the 2 mismatches", len(c.pending))
+			}
+			for _, want := range []string{"first", "second"} {
+				got, err := Recv[string](c, 1, 1)
+				if err != nil {
+					return err
+				}
+				if got != want {
+					return fmt.Errorf("Recv(1, 1) = %q, want %q (arrival order)", got, want)
+				}
 			}
 		}
 		return nil

@@ -2,7 +2,6 @@ package pthread
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,12 +13,6 @@ import (
 // the tree shallow (16 parties -> 2 levels) while each node's arrival
 // counter stays well under cache-line contention saturation.
 const barrierFanIn = 4
-
-// barrierSpins bounds the optimistic Gosched spin before a waiter parks on
-// the condition variable. On the single-CPU lab hosts Gosched hands the
-// core to a runnable sibling, so a short spin usually observes the release
-// without ever touching the mutex.
-const barrierSpins = 64
 
 // barrierNode is one counter of the combining tree, padded so sibling
 // counters never share a cache line (the whole point is that leaf arrivals
@@ -170,11 +163,8 @@ func (b *Barrier) release() {
 // await blocks until round has been released: a bounded Gosched spin, then
 // a park on the condition variable.
 func (b *Barrier) await(round int64) {
-	for i := 0; i < barrierSpins; i++ {
-		if b.gen.Load() > round {
-			return
-		}
-		runtime.Gosched()
+	if Spin(func() bool { return b.gen.Load() > round }) {
+		return
 	}
 	b.parked.Add(1)
 	b.parkMu.Lock()

@@ -106,6 +106,48 @@ func (t *Thread) TryJoin() (result interface{}, ok bool, err error) {
 	}
 }
 
+// ForkJoin runs fn(0) on the calling goroutine and fn(1)..fn(n-1) on
+// Create'd threads, joins every thread, and returns the lowest id's error
+// so the outcome does not depend on scheduling. The caller does id 0's
+// work instead of parking in Join, so a run of n ids spawns n-1 threads.
+func ForkJoin(n int, fn func(id int) error) error {
+	if n < 1 {
+		return fmt.Errorf("pthread: need at least 1 thread")
+	}
+	ts := make([]*Thread, n-1)
+	for id := 1; id < n; id++ {
+		ts[id-1] = Create(func() interface{} { return fn(id) })
+	}
+	err := fn(0)
+	for _, t := range ts {
+		v, _ := t.Join() // cannot fail: only ForkJoin holds these threads
+		if e, _ := v.(error); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// spinRounds bounds the optimistic Gosched spin a waiter runs before it
+// parks. On the single-CPU lab hosts Gosched hands the core to a runnable
+// sibling, so a short spin usually observes the wakeup (a barrier release,
+// a message) without the waiter ever parking.
+const spinRounds = 64
+
+// Spin polls ready up to spinRounds times, yielding the processor with
+// runtime.Gosched between polls, and reports whether ready returned true:
+// the first phase of a two-phase wait. Barrier waits and msgpass's untimed
+// receives both run it before they park.
+func Spin(ready func() bool) bool {
+	for i := 0; i < spinRounds; i++ {
+		if ready() {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
 // lockOrder records the global mutex acquisition graph for deadlock
 // detection: an edge a->b means some thread held a while acquiring b. A
 // cycle means a lock-ordering deadlock is possible.

@@ -351,3 +351,80 @@ func TestLiveGauge(t *testing.T) {
 		t.Errorf("Live() = %d after joining all threads, want %d", got, base)
 	}
 }
+
+// TestForkJoin: id 0 runs on the calling goroutine and every other id on
+// its own thread, n = 1 creates no thread, every thread is joined before
+// ForkJoin returns, and the lowest id's error wins even when a higher id
+// fails first.
+func TestForkJoin(t *testing.T) {
+	t.Run("id 0 on the caller", func(t *testing.T) {
+		caller := goid()
+		var ids [4]int64
+		if err := ForkJoin(len(ids), func(id int) error {
+			ids[id] = goid()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ids[0] != caller {
+			t.Errorf("id 0 ran on goroutine %d, want the caller's %d", ids[0], caller)
+		}
+		seen := map[int64]bool{}
+		for id, g := range ids {
+			if seen[g] {
+				t.Errorf("id %d shares goroutine %d with a lower id (goroutines %v)", id, g, ids)
+			}
+			seen[g] = true
+		}
+	})
+	t.Run("n = 1 creates no thread", func(t *testing.T) {
+		base := Live()
+		ran := 0
+		if err := ForkJoin(1, func(id int) error {
+			if got := Live(); got != base {
+				t.Errorf("Live() = %d inside a 1-id ForkJoin, want %d", got, base)
+			}
+			ran++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if ran != 1 {
+			t.Errorf("fn ran %d times, want 1", ran)
+		}
+	})
+	t.Run("joins every thread", func(t *testing.T) {
+		base := Live()
+		var finished atomic.Int64
+		if err := ForkJoin(5, func(id int) error {
+			time.Sleep(time.Duration(5-id) * time.Millisecond)
+			finished.Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := finished.Load(); got != 5 {
+			t.Errorf("%d of 5 ids finished before ForkJoin returned", got)
+		}
+		if got := Live(); got != base {
+			t.Errorf("Live() = %d after ForkJoin, want %d", got, base)
+		}
+	})
+	t.Run("lowest id's error wins", func(t *testing.T) {
+		failed3 := make(chan struct{})
+		err := ForkJoin(4, func(id int) error {
+			switch id {
+			case 3:
+				close(failed3)
+				return errors.New("id 3")
+			case 1:
+				<-failed3
+				return errors.New("id 1")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "id 1" {
+			t.Errorf("got %v, want id 1's error", err)
+		}
+	})
+}

@@ -79,28 +79,16 @@ func min(a, b int) int {
 }
 
 // ParallelFor runs body(i) for i in [0, n) across parties threads using
-// block partitioning and joins them all — the parallel-loop idiom the
-// course builds the Game of Life lab on.
+// block partitioning (ForkJoin: the caller runs the first block) — the
+// parallel-loop idiom the course builds the Game of Life lab on.
 func ParallelFor(parties, n int, body func(i int)) error {
-	if parties < 1 {
-		return fmt.Errorf("pthread: need at least 1 thread")
-	}
-	threads := make([]*Thread, parties)
-	for id := 0; id < parties; id++ {
+	return ForkJoin(parties, func(id int) error {
 		lo, hi := BlockRange(id, parties, n)
-		threads[id] = Create(func() interface{} {
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-			return nil
-		})
-	}
-	for _, t := range threads {
-		if _, err := t.Join(); err != nil {
-			return err
+		for i := lo; i < hi; i++ {
+			body(i)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ScalingPoint is one row of a speedup table.
