@@ -42,29 +42,10 @@ func run() error {
 	flag.Parse()
 
 	cfg := cache.Config{SizeBytes: *size, BlockSize: *block, Assoc: *assoc}
-	switch *write {
-	case "back":
-		cfg.Write = cache.WriteBack
-	case "through":
-		cfg.Write = cache.WriteThrough
-	default:
-		return fmt.Errorf("unknown write policy %q", *write)
-	}
-	switch *alloc {
-	case "allocate":
-		cfg.Alloc = cache.WriteAllocate
-	case "noallocate":
-		cfg.Alloc = cache.NoWriteAllocate
-	default:
-		return fmt.Errorf("unknown alloc policy %q", *alloc)
-	}
-	switch *repl {
-	case "lru":
-		cfg.Repl = cache.LRU
-	case "fifo":
-		cfg.Repl = cache.FIFO
-	default:
-		return fmt.Errorf("unknown replacement policy %q", *repl)
+	var err error
+	cfg.Write, cfg.Alloc, cfg.Repl, err = cache.ParsePolicies(*write, *alloc, *repl)
+	if err != nil {
+		return err
 	}
 
 	var trace []memhier.Access
@@ -74,7 +55,6 @@ func run() error {
 	case "colmajor":
 		trace = memhier.MatrixTraceColMajor(0, *rows, *cols, 4)
 	case "":
-		var err error
 		trace, err = readTrace(os.Stdin)
 		if err != nil {
 			return err

@@ -270,24 +270,9 @@ func runBench(template *life.Grid, iters, maxThreads int, part life.Partition, d
 	for t := 2; t <= maxThreads; t *= 2 {
 		counts = append(counts, t)
 	}
-	points, err := sweep.MeasureScaling(context.Background(), counts, func(_ context.Context, threads int) error {
-		g := template.Clone()
-		if threads == 1 {
-			g.Run(iters)
-			return nil
-		}
-		if dist {
-			dr := &life.DistRunner{G: g, Ranks: threads}
-			if _, err := dr.Run(iters); err != nil {
-				return fmt.Errorf("%d ranks: %w", threads, err)
-			}
-			return nil
-		}
-		pr := &life.ParallelRunner{G: g, Threads: threads, Partition: part}
-		if _, err := pr.Run(iters); err != nil {
-			return fmt.Errorf("%d threads: %w", threads, err)
-		}
-		return nil
+	points, err := sweep.MeasureScaling(context.Background(), counts, func(ctx context.Context, threads int) error {
+		_, err := life.Advance(ctx, template.Clone(), threads, part, dist, iters)
+		return err
 	})
 	if err != nil {
 		return err

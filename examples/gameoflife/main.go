@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -29,21 +30,30 @@ func main() {
 	fmt.Print(vis.Render(serial.Bools(), nil))
 
 	// Lab 10: parallel run with thread regions visible, verified against
-	// the serial engine.
+	// the serial engine. life.Advance picks the engine from the thread
+	// count: more than one runs the ParallelRunner.
+	const nThreads = 2
 	parallel, err := cfg.BuildGrid(life.Torus)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr := &life.ParallelRunner{G: parallel, Threads: 2, Partition: life.ByRows}
-	if _, err := pr.Run(2); err != nil {
+	if _, err := life.Advance(context.Background(), parallel, nThreads, life.ByRows, false, 2); err != nil {
 		log.Fatal(err)
 	}
 	if !parallel.Equal(serial) {
 		log.Fatal("parallel result diverged from serial!")
 	}
+	// Thread t owns the block of rows pthread.BlockRange gives it.
+	owner := func(r, _ int) int {
+		for t := 0; ; t++ {
+			if _, hi := pthread.BlockRange(t, nThreads, parallel.Rows); r < hi {
+				return t
+			}
+		}
+	}
 	fmt.Println("\nLab 10 (2 threads): same result, regions colored by owner")
 	colorVis := paravis.New(true)
-	fmt.Print(colorVis.Render(parallel.Bools(), pr.Owner))
+	fmt.Print(colorVis.Render(parallel.Bools(), owner))
 
 	// The lab's measurement: near-linear speedup on a big grid.
 	big, err := life.NewGrid(256, 256, life.Torus)
@@ -58,13 +68,7 @@ func main() {
 	fmt.Printf("\nspeedup on a %dx%d grid, 20 iterations (%d CPUs):\n",
 		big.Rows, big.Cols, runtime.NumCPU())
 	points, err := pthread.MeasureScaling(counts, func(threads int) {
-		g := big.Clone()
-		if threads == 1 {
-			g.Run(20)
-			return
-		}
-		r := &life.ParallelRunner{G: g, Threads: threads}
-		if _, err := r.Run(20); err != nil {
+		if _, err := life.Advance(context.Background(), big.Clone(), threads, life.ByRows, false, 20); err != nil {
 			panic(err)
 		}
 	})

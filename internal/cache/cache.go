@@ -62,6 +62,38 @@ func (p ReplPolicy) String() string {
 	return "FIFO"
 }
 
+// ParsePolicies maps the policy names labd and cmd/cachesim accept —
+// "back"/"through", "allocate"/"noallocate", "lru"/"fifo" — onto their
+// values. It checks write, then alloc, then repl, and reports the first
+// unknown name.
+func ParsePolicies(write, alloc, repl string) (w WritePolicy, a AllocPolicy, r ReplPolicy, err error) {
+	switch write {
+	case "back":
+		w = WriteBack
+	case "through":
+		w = WriteThrough
+	default:
+		return w, a, r, fmt.Errorf("unknown write policy %q", write)
+	}
+	switch alloc {
+	case "allocate":
+		a = WriteAllocate
+	case "noallocate":
+		a = NoWriteAllocate
+	default:
+		return w, a, r, fmt.Errorf("unknown alloc policy %q", alloc)
+	}
+	switch repl {
+	case "lru":
+		r = LRU
+	case "fifo":
+		r = FIFO
+	default:
+		return w, a, r, fmt.Errorf("unknown replacement policy %q", repl)
+	}
+	return w, a, r, nil
+}
+
 // Config describes a cache organization the way the homework does: total
 // size, block size, and associativity (1 = direct-mapped).
 type Config struct {

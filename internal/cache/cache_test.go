@@ -17,6 +17,46 @@ func directMapped(t *testing.T, size, block int) *Cache {
 	return c
 }
 
+// TestParsePolicies: every accepted name maps to its value, and an
+// unknown name is reported with its message, write before alloc before
+// repl.
+func TestParsePolicies(t *testing.T) {
+	accepted := []struct {
+		write, alloc, repl string
+		w                  WritePolicy
+		a                  AllocPolicy
+		r                  ReplPolicy
+	}{
+		{"back", "allocate", "lru", WriteBack, WriteAllocate, LRU},
+		{"through", "noallocate", "fifo", WriteThrough, NoWriteAllocate, FIFO},
+	}
+	for _, c := range accepted {
+		w, a, r, err := ParsePolicies(c.write, c.alloc, c.repl)
+		if err != nil || w != c.w || a != c.a || r != c.r {
+			t.Errorf("ParsePolicies(%q, %q, %q) = %v, %v, %v, %v; want %v, %v, %v, nil",
+				c.write, c.alloc, c.repl, w, a, r, err, c.w, c.a, c.r)
+		}
+	}
+	rejected := []struct{ write, alloc, repl, want string }{
+		{"around", "allocate", "lru", `unknown write policy "around"`},
+		{"back", "sometimes", "lru", `unknown alloc policy "sometimes"`},
+		{"back", "allocate", "random", `unknown replacement policy "random"`},
+		{"", "allocate", "lru", `unknown write policy ""`},
+		{"Back", "allocate", "lru", `unknown write policy "Back"`},
+		// Two or three unknown names: the first in write, alloc, repl
+		// order is the one reported.
+		{"x", "allocate", "z", `unknown write policy "x"`},
+		{"back", "y", "z", `unknown alloc policy "y"`},
+		{"x", "y", "z", `unknown write policy "x"`},
+	}
+	for _, c := range rejected {
+		_, _, _, err := ParsePolicies(c.write, c.alloc, c.repl)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ParsePolicies(%q, %q, %q) error = %v, want %s", c.write, c.alloc, c.repl, err, c.want)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config{SizeBytes: 1024, BlockSize: 16, Assoc: 2}
 	if err := good.Validate(); err != nil {

@@ -195,7 +195,7 @@ func TestLifeParallelCancel504(t *testing.T) {
 
 // TestLifeRunCancelErrorClass: the handler maps the engines' wrapped
 // context errors onto the timeout status, not a 400 — the structured error
-// must survive the trip through runLifeCtx.
+// must survive the trip through life.Advance.
 func TestLifeRunCancelErrorClass(t *testing.T) {
 	s := New(Config{Workers: 1, DefaultTimeout: time.Hour})
 	t.Cleanup(func() {

@@ -304,29 +304,10 @@ func cacheSimKey(req CacheSimRequest) (uint64, bool) {
 func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimResponse, error) {
 	var resp CacheSimResponse
 	cfg := cache.Config{SizeBytes: req.SizeBytes, BlockSize: req.BlockSize, Assoc: req.Assoc}
-	switch req.Write {
-	case "back":
-		cfg.Write = cache.WriteBack
-	case "through":
-		cfg.Write = cache.WriteThrough
-	default:
-		return resp, badReqf("unknown write policy %q", req.Write)
-	}
-	switch req.Alloc {
-	case "allocate":
-		cfg.Alloc = cache.WriteAllocate
-	case "noallocate":
-		cfg.Alloc = cache.NoWriteAllocate
-	default:
-		return resp, badReqf("unknown alloc policy %q", req.Alloc)
-	}
-	switch req.Repl {
-	case "lru":
-		cfg.Repl = cache.LRU
-	case "fifo":
-		cfg.Repl = cache.FIFO
-	default:
-		return resp, badReqf("unknown replacement policy %q", req.Repl)
+	var err error
+	cfg.Write, cfg.Alloc, cfg.Repl, err = cache.ParsePolicies(req.Write, req.Alloc, req.Repl)
+	if err != nil {
+		return resp, errBadRequest{err}
 	}
 
 	// Sizes cache.Validate rejects anyway (non-positive, or a block*assoc
@@ -623,8 +604,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		// the points (overlapping measurements would contend) and polls ctx
 		// between them, so a canceled request stops mid-series.
 		points, err := sweep.MeasureScaling(ctx, counts, func(ctx context.Context, threads int) error {
-			gg := template.Clone()
-			_, err := runLifeCtx(ctx, gg, threads, part, dist, req.Iters)
+			_, err := life.Advance(ctx, template.Clone(), threads, part, dist, req.Iters)
 			return err
 		})
 		if err != nil {
@@ -643,59 +623,25 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		}
 	}
 
-	live, err := runLifeCtx(ctx, g, req.Threads, part, dist, req.Iters)
+	// A timed-out or canceled request stops the run: the parallel and dist
+	// engines join every worker and rank goroutine before Advance returns,
+	// and the serial engine stops at its next ctx poll.
+	st, err := life.Advance(ctx, g, req.Threads, part, dist, req.Iters)
 	if err != nil {
 		if ctx.Err() != nil {
 			return resp, ctx.Err()
 		}
 		return resp, errBadRequest{err}
 	}
-	resp.LiveUpdates = live
+	if req.Threads > 1 {
+		// Serial bodies omit live_updates: they are pinned byte for byte,
+		// and key version 3 caches them.
+		resp.LiveUpdates = st.LiveUpdates
+	}
 	resp.Rows, resp.Cols = req.Rows, req.Cols
 	resp.Generations = g.Generation
 	resp.Population = g.Population()
 	return resp, nil
-}
-
-// runLifeCtx advances the grid by iters generations under the request
-// context. The parallel and dist engines take ctx directly — a timed-out
-// or canceled request aborts their worlds mid-run and joins every rank and
-// worker goroutine before returning, so the daemon sheds the whole
-// goroutine tree within roughly one generation of the deadline. The serial
-// engine has no internal cancellation points, so it still runs in chunks
-// with a ctx poll between them. Returns accumulated live updates
-// (parallel/dist runs only; the serial engine doesn't track them).
-func runLifeCtx(ctx context.Context, g *life.Grid, threads int, part life.Partition, dist bool, iters int) (int64, error) {
-	switch {
-	case threads <= 1:
-		const chunk = 8
-		for done := 0; done < iters; {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			n := chunk
-			if iters-done < n {
-				n = iters - done
-			}
-			g.Run(n)
-			done += n
-		}
-		return 0, nil
-	case dist:
-		dr := &life.DistRunner{G: g, Ranks: threads}
-		st, err := dr.RunCtx(ctx, iters)
-		if err != nil {
-			return 0, err
-		}
-		return st.LiveUpdates, nil
-	default:
-		pr := &life.ParallelRunner{G: g, Threads: threads, Partition: part}
-		st, err := pr.RunCtx(ctx, iters)
-		if err != nil {
-			return 0, err
-		}
-		return st.LiveUpdates, nil
-	}
 }
 
 // --- GET /v1/homework -------------------------------------------------

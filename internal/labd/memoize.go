@@ -41,8 +41,8 @@ func boolWord(b bool) uint64 {
 }
 
 // cachedEndpoints names every deterministic endpoint, in route order.
-// These are the keys of Config.Cache.DisableEndpoints/EndpointBytes and
-// of the labd.cache.* debug vars.
+// These are the keys of Config.Cache.DisableEndpoints and of the
+// labd.cache.* debug vars.
 var cachedEndpoints = []string{"asm", "minic", "cache", "vm", "life", "homework", "survey"}
 
 // CacheConfig sizes the response memoization layer.
@@ -53,14 +53,9 @@ type CacheConfig struct {
 	// MaxBytes is the total resident-byte budget, split evenly across
 	// the enabled endpoints. Zero selects DefaultCacheBytes.
 	MaxBytes int64
-	// Shards is the shard count per endpoint cache (rounded up to a
-	// power of two; zero selects memo's default of 8).
-	Shards int
 	// DisableEndpoints lists endpoint names (see cachedEndpoints) to
 	// serve uncached while the rest stay memoized.
 	DisableEndpoints []string
-	// EndpointBytes overrides the per-endpoint byte budget by name.
-	EndpointBytes map[string]int64
 }
 
 func (c *CacheConfig) fillDefaults() {
@@ -93,14 +88,7 @@ func (s *Server) initCaches() {
 	}
 	share := cc.MaxBytes / int64(len(enabled))
 	for _, name := range enabled {
-		budget := share
-		if v, ok := cc.EndpointBytes[name]; ok {
-			budget = v
-		}
-		if budget < 0 {
-			continue
-		}
-		s.caches[name] = memo.New(budget, cc.Shards)
+		s.caches[name] = memo.New(share, 0)
 	}
 }
 
@@ -139,29 +127,22 @@ func encodeBody(v any) ([]byte, error) {
 	return out, nil
 }
 
-// serveCached is the memoized sibling of schedule: a resident key is
-// written straight to the wire (no scheduler submit, no handler run, no
-// re-encode), a missing key computes through the worker pool exactly as
-// the uncached path would and caches the encoded bytes, and concurrent
-// identical requests coalesce onto one in-flight computation — the
-// waiters block here, in their own HTTP goroutines, never submitting to
-// the scheduler, so they hold no worker slot while they wait.
+// serveCached is every endpoint's one serve path. compute funnels the work
+// through the bounded queue into the worker pool and encodes the reply;
+// fn closes only over values decoded in the HTTP goroutine — never the
+// live *http.Request — because on a timeout the worker may still be
+// running after ServeHTTP returns. An endpoint without a cache, an
+// uncacheable response and a client bypass run compute directly. Otherwise
+// a resident key is written straight to the wire (no scheduler submit, no
+// handler run, no re-encode), a missing key runs compute and caches its
+// bytes, and concurrent identical requests coalesce onto one in-flight
+// computation — the waiters block here, in their own HTTP goroutines,
+// never submitting to the scheduler, so they hold no worker slot while
+// they wait.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, key uint64, cacheable bool, fn func(ctx context.Context) (any, error)) {
-	c := s.caches[endpoint]
-	if c == nil {
-		s.schedule(w, r, fn)
-		return
-	}
-	if !cacheable || bypassRequested(r) {
-		w.Header().Set(cacheHeader, "bypass")
-		s.schedule(w, r, fn)
-		return
-	}
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
-	t0 := time.Now()
-	body, outcome, err := c.Do(ctx, key, func() ([]byte, error) {
+	compute := func() ([]byte, error) {
 		var resp any
 		var jobErr error
 		err := s.sched.Submit(ctx, func(ctx context.Context) {
@@ -177,10 +158,24 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint st
 		b, encErr := encodeBody(resp)
 		s.obs.observeMarshal(m0)
 		return b, encErr
-	})
-	w.Header().Set(cacheHeader, outcome.String())
-	if err == nil {
-		s.obs.observeCacheOutcome(endpoint, outcome, time.Since(t0))
+	}
+
+	var body []byte
+	var err error
+	switch c := s.caches[endpoint]; {
+	case c == nil:
+		body, err = compute()
+	case !cacheable || bypassRequested(r):
+		w.Header().Set(cacheHeader, "bypass")
+		body, err = compute()
+	default:
+		t0 := time.Now()
+		var outcome memo.Outcome
+		body, outcome, err = c.Do(ctx, key, compute)
+		w.Header().Set(cacheHeader, outcome.String())
+		if err == nil {
+			s.obs.observeCacheOutcome(endpoint, outcome, time.Since(t0))
+		}
 	}
 	if err != nil {
 		s.writeError(w, err)

@@ -33,7 +33,7 @@ type serverObs struct {
 	nRequest obs.Name // "request", args: status, id
 	nMarshal obs.Name // "marshal"
 
-	marshal *obs.Histogram // encode+write time of cold responses
+	marshal *obs.Histogram // encode time of cold responses
 
 	mu        sync.RWMutex
 	responses map[routeStatus]*responseObs // by (route pattern, status)
@@ -68,7 +68,7 @@ func newServerObs(cfg *Config) *serverObs {
 		outcomes:  make(map[string]*cacheObs),
 	}
 	o.marshal = o.reg.Histogram("labd_marshal_duration_seconds",
-		"Time to encode and write a cold response body.", "", 4)
+		"Time to encode a cold response body.", "", 4)
 	if o.trace != nil {
 		o.httpLane = o.trace.Lane("http")
 		o.nRequest = o.trace.Name("request", "status", "id")
@@ -189,7 +189,7 @@ func latencyOf(h *obs.Histogram) latencyVars {
 	return lv
 }
 
-// observeMarshal records the encode+write time of a cold response.
+// observeMarshal records the encode time of a cold response.
 func (o *serverObs) observeMarshal(start time.Time) {
 	o.marshal.Observe(int64(time.Since(start)))
 	o.httpLane.Complete(o.nMarshal, start)

@@ -264,31 +264,6 @@ func httpStatusFor(err error) int {
 	}
 }
 
-// schedule funnels prepared work through the bounded queue into the
-// worker pool and renders the outcome. fn closes only over values decoded
-// in the HTTP goroutine — never the live *http.Request — because on a
-// timeout the worker may still be running after ServeHTTP returns.
-func (s *Server) schedule(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) (any, error)) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
-	defer cancel()
-
-	var resp any
-	var jobErr error
-	err := s.sched.Submit(ctx, func(ctx context.Context) {
-		resp, jobErr = fn(ctx)
-	})
-	if err == nil {
-		err = jobErr
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	t0 := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	s.obs.observeMarshal(t0)
-}
-
 // writeError renders err with its mapped status; queue-full responses
 // carry backpressure guidance: the retry hint derives from the actual
 // backlog so clients spread out proportionally to load instead of

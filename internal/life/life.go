@@ -539,6 +539,44 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 	return stats, nil
 }
 
+// serialPollGens is how many generations the serial engine in Advance runs
+// between ctx polls: Step has no cancellation point of its own, so a
+// canceled run stops on the next multiple of serialPollGens.
+const serialPollGens = 8
+
+// Advance runs n generations of g under ctx on the engine that workers,
+// part and dist name. It is the one engine dispatch labd, the sweep engine
+// and cmd/life -bench share. workers <= 1 runs the serial engine (Lab 6)
+// on the calling goroutine, polling ctx every serialPollGens generations;
+// more workers run a DistRunner with that many ranks when dist is set,
+// else a ParallelRunner with that many threads. The dist engine shards by
+// rows only, so dist with ByCols is refused at any worker count. A nil ctx
+// means context.Background().
+func Advance(ctx context.Context, g *Grid, workers int, part Partition, dist bool, n int) (*RunStats, error) {
+	if dist && part != ByRows {
+		return nil, fmt.Errorf("life: the dist engine shards by rows only")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	switch {
+	case workers > 1 && dist:
+		return (&DistRunner{G: g, Ranks: workers}).RunCtx(ctx, n)
+	case workers > 1:
+		return (&ParallelRunner{G: g, Threads: workers, Partition: part}).RunCtx(ctx, n)
+	}
+	stats := &RunStats{Workers: 1}
+	for stats.Rounds < n {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("life: serial run canceled after %d of %d generations: %w", stats.Rounds, n, err)
+		}
+		step := min(n-stats.Rounds, serialPollGens)
+		stats.LiveUpdates += g.RunCounted(step)
+		stats.Rounds += step
+	}
+	return stats, nil
+}
+
 // Owner reports which thread owns cell (r, c) under the runner's
 // partitioning — used by paravis to color regions. Under ByCols ownership
 // follows the 64-cell word the column lives in.

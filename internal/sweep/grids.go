@@ -73,58 +73,29 @@ func DistLifeGrid(sizes [][2]int, ranks []int, gens int, seed int64, density flo
 	return cases
 }
 
-// RunLifeGrid fans the cases across workers. Thread-count 1 runs the
-// serial engine (the speedup baseline and the differential reference);
-// higher counts run the sharded ParallelRunner, or the message-passing
-// DistRunner for cases marked Dist. The DistRunner shards by rows only, so
-// a Dist case partitioned ByCols is an error.
+// RunLifeGrid fans the cases across workers. The engine choice belongs to
+// life.Advance: thread-count 1 runs the serial engine (the speedup
+// baseline and the differential reference), higher counts the sharded
+// ParallelRunner, or the message-passing DistRunner for cases marked Dist.
+// A Dist case partitioned ByCols is an error, since the DistRunner shards
+// by rows only.
 func RunLifeGrid(ctx context.Context, workers int, cases []LifeCase) ([]LifeResult, error) {
 	return Run(ctx, workers, cases, func(ctx context.Context, c LifeCase) (LifeResult, error) {
-		if c.Dist && c.Partition != life.ByRows {
-			return LifeResult{}, fmt.Errorf("life case %s: the dist engine shards by rows only", c)
-		}
 		g, err := life.NewGrid(c.Rows, c.Cols, life.Torus)
 		if err != nil {
 			return LifeResult{}, err
 		}
 		g.Randomize(c.Seed, c.Density)
-		res := LifeResult{Case: c}
-		switch {
-		case c.Threads <= 1:
-			// The serial engine has no internal cancellation points, so
-			// poll the context between generation chunks: a canceled sweep
-			// abandons a long serial case within a bounded slice of work.
-			const chunk = 8
-			for done := 0; done < c.Gens; {
-				if err := ctx.Err(); err != nil {
-					return res, fmt.Errorf("life case %s canceled after %d of %d generations: %w",
-						c, done, c.Gens, err)
-				}
-				step := c.Gens - done
-				if step > chunk {
-					step = chunk
-				}
-				res.LiveUpdates += g.RunCounted(step)
-				done += step
-			}
-		case c.Dist:
-			dr := &life.DistRunner{G: g, Ranks: c.Threads}
-			stats, err := dr.RunCtx(ctx, c.Gens)
-			if err != nil {
-				return res, err
-			}
-			res.LiveUpdates = stats.LiveUpdates
-		default:
-			pr := &life.ParallelRunner{G: g, Threads: c.Threads, Partition: c.Partition}
-			stats, err := pr.RunCtx(ctx, c.Gens)
-			if err != nil {
-				return res, err
-			}
-			res.LiveUpdates = stats.LiveUpdates
+		stats, err := life.Advance(ctx, g, c.Threads, c.Partition, c.Dist, c.Gens)
+		if err != nil {
+			return LifeResult{}, fmt.Errorf("life case %s: %w", c, err)
 		}
-		res.Generation = g.Generation
-		res.Population = g.Population()
-		return res, nil
+		return LifeResult{
+			Case:        c,
+			Generation:  g.Generation,
+			Population:  g.Population(),
+			LiveUpdates: stats.LiveUpdates,
+		}, nil
 	})
 }
 

@@ -4,7 +4,8 @@
 // memory-hierarchy trace sweeps — across a bounded worker pool and returns
 // results in deterministic input order regardless of scheduling. The
 // experiment suite, cmd/life -bench, and the labd speedup endpoint all run
-// their grids through it.
+// their grids through it. The engine choice for a Life point belongs to
+// life.Advance, the one engine dispatch.
 //
 // Timed speedup series go through the same plumbing with a single worker
 // (MeasureScaling): co-running wall-clock measurements would contend for
