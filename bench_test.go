@@ -99,7 +99,7 @@ func BenchmarkLifeSpeedup(b *testing.B) {
 					continue
 				}
 				pr := &life.ParallelRunner{G: g, Threads: threads}
-				if _, err := pr.Run(1); err != nil {
+				if _, err := pr.RunCtx(context.Background(), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -416,7 +416,7 @@ func BenchmarkLifeEngines(b *testing.B) {
 			g := template.Clone()
 			b.StartTimer()
 			pr := &life.ParallelRunner{G: g, Threads: 8}
-			stats, err := pr.Run(gens)
+			stats, err := pr.RunCtx(context.Background(), gens)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -432,7 +432,7 @@ func BenchmarkLifeEngines(b *testing.B) {
 			g := template.Clone()
 			b.StartTimer()
 			dr := &life.DistRunner{G: g, Ranks: 8}
-			stats, err := dr.Run(gens)
+			stats, err := dr.RunCtx(context.Background(), gens)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1128,7 +1128,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			pr.BarrierWaits = obs.NewHistogram(threads)
 		}
 		b.ResetTimer()
-		stats, err := pr.Run(b.N)
+		stats, err := pr.RunCtx(context.Background(), b.N)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)

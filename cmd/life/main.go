@@ -9,21 +9,26 @@
 //	life -rows 512 -cols 512 -iters 50 -bench 16      # speedup table
 //
 // The engine is one flag: -engine {serial,parallel,dist}. When omitted it
-// is inferred from -threads (1 = serial, more = parallel). Every engine
-// advances the same bit-packed board (64 cells per word) through the same
-// SWAR kernel. Under -partition cols a thread owns a block of 64-column
-// words, so a board narrower than 64*threads columns runs fewer threads;
-// the banner reports the count a run used.
+// is inferred from -threads (1 = serial, more = parallel). Every run goes
+// through life.Advance, so -threads 1 runs the serial engine whatever
+// -engine says, and every engine advances the same bit-packed board (64
+// cells per word) through the same SWAR kernel. Under -partition cols a
+// thread owns a block of 64-column words, so a board narrower than
+// 64*threads columns runs fewer threads; the banner reports the count a
+// run used. -visual renders each generation on the serial and parallel
+// engines; -iters must be at least 0, and at least 1 with -bench.
 //
 // The message-passing engine (-engine dist) exposes the fault-injection
 // knobs of the msgpass runtime: -chaos-seed/-chaos-delay/-chaos-stall
 // perturb message timing deterministically (a straggler demo in one flag),
 // and -watchdog turns a protocol hang into a structured deadlock report.
+// Both need 2 or more ranks.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -65,6 +70,18 @@ func resolveEngine(engine string, threads int) (string, error) {
 func checkDensity(d float64) error {
 	if !(d >= 0 && d <= 1) {
 		return fmt.Errorf("density %v outside [0,1]", d)
+	}
+	return nil
+}
+
+// checkIters rejects a negative -iters, and a -bench table over zero
+// generations: every row would divide its time by zero.
+func checkIters(iters, bench int) error {
+	if iters < 0 {
+		return fmt.Errorf("-iters %d below 0", iters)
+	}
+	if bench > 0 && iters == 0 {
+		return fmt.Errorf("-bench needs -iters of at least 1")
 	}
 	return nil
 }
@@ -124,110 +141,72 @@ func run() error {
 		g.Randomize(*seed, *density)
 	}
 
+	if err := checkIters(*iters, *bench); err != nil {
+		return err
+	}
 	part := life.ByRows
 	if *partition == "cols" {
 		part = life.ByCols
 	} else if *partition != "rows" {
 		return fmt.Errorf("unknown partition %q", *partition)
 	}
-	if eng == "dist" && part != life.ByRows {
-		return fmt.Errorf("the dist engine shards by rows only")
+	// life.Advance refuses what the chosen engine cannot honour: dist by
+	// columns or with -visual, and chaos or a watchdog anywhere but a dist
+	// run of 2 or more ranks.
+	e := life.Engine{Workers: *threads, Partition: part, Dist: eng == "dist", Watchdog: *watchdog}
+	if eng == "serial" {
+		e.Workers = 1
 	}
-
-	var chaos *msgpass.Chaos
 	if *chaosDelay > 0 || *chaosStall > 0 {
-		if eng != "dist" {
-			return fmt.Errorf("-chaos-delay/-chaos-stall require -engine dist")
+		e.Chaos = &msgpass.Chaos{Seed: *chaosSeed, MaxDelay: *chaosDelay, MaxStall: *chaosStall}
+		if *chaosDelay > 0 {
+			e.Chaos.DelayProb = 1
 		}
-		chaos = &msgpass.Chaos{
-			Seed:      *chaosSeed,
-			DelayProb: 1,
-			MaxDelay:  *chaosDelay,
-			StallProb: 1,
-			MaxStall:  *chaosStall,
-		}
-		if *chaosDelay == 0 {
-			chaos.DelayProb = 0
-		}
-		if *chaosStall == 0 {
-			chaos.StallProb = 0
+		if *chaosStall > 0 {
+			e.Chaos.StallProb = 1
 		}
 		if *chaosRank >= 0 {
-			chaos.Ranks = []int{*chaosRank}
+			e.Chaos.Ranks = []int{*chaosRank}
 		}
-	}
-	if *watchdog > 0 && eng != "dist" {
-		return fmt.Errorf("-watchdog requires -engine dist")
 	}
 
 	if *bench > 0 {
 		if *traceOut != "" {
 			return fmt.Errorf("-trace does not compose with -bench (trace one run instead)")
 		}
-		return runBench(g, *iters, *bench, part, eng == "dist")
+		return runBench(g, *iters, *bench, e)
 	}
-	var tr *obs.Trace
 	if *traceOut != "" {
-		tr = obs.New()
+		e.Trace = obs.New()
+	}
+	if *visual {
+		vis := paravis.New(*color)
+		owner := e.Owner(g) // nil on the serial engine: no regions to colour
+		e.OnRound = func(g *life.Grid) {
+			fmt.Printf("generation %d (population %d)\n%s\n", g.Generation, g.Population(),
+				vis.Render(g.Bools(), owner))
+		}
 	}
 
-	if eng == "dist" {
-		ranks := *threads
-		if ranks < 1 {
-			ranks = 1
-		}
-		dr := &life.DistRunner{G: g, Ranks: ranks, Chaos: chaos, Watchdog: *watchdog, Trace: tr}
-		start := time.Now()
-		stats, err := dr.Run(*iters)
-		elapsed := time.Since(start)
-		if chaos != nil || *watchdog > 0 {
-			fmt.Printf("fault injection: seed %d, delay<=%v, stall<=%v, watchdog %v (elapsed %v)\n",
-				*chaosSeed, *chaosDelay, *chaosStall, *watchdog, elapsed.Round(time.Millisecond))
-		}
-		if err != nil {
-			return err
-		}
-		ws := dr.CommStats
+	start := time.Now()
+	stats, err := life.Advance(context.Background(), g, e, *iters)
+	elapsed := time.Since(start)
+	distRun := e.Dist && e.Workers > 1
+	// A run Advance refused started no world, so it has no fault report.
+	if distRun && (e.Chaos != nil || e.Watchdog > 0) && !errors.Is(err, errors.ErrUnsupported) {
+		fmt.Printf("fault injection: seed %d, delay<=%v, stall<=%v, watchdog %v (elapsed %v)\n",
+			*chaosSeed, *chaosDelay, *chaosStall, *watchdog, elapsed.Round(time.Millisecond))
+	}
+	if err != nil {
+		return err
+	}
+	switch {
+	case distRun:
 		fmt.Printf("ran %d rounds on %d ranks (message passing), %d cell updates\n",
 			stats.Rounds, stats.Workers, stats.LiveUpdates)
 		fmt.Printf("comm: %d messages, %d bytes sent, %d collective calls\n",
-			ws.Sends, ws.BytesSent, ws.Collectives)
-		fmt.Printf("final population %d after %d generations\n%s",
-			g.Population(), g.Generation, g.String())
-		return writeTrace(tr, *traceOut)
-	}
-
-	vis := paravis.New(*color)
-	if eng == "serial" {
-		// The serial engine gets one lane with a span per generation, so
-		// even a single-threaded run renders a timeline.
-		var lane *obs.Lane
-		var nGen obs.Name
-		if tr != nil {
-			lane = tr.Lane("serial")
-			nGen = tr.Name("generation")
-		}
-		for i := 0; i < *iters; i++ {
-			lane.Begin(nGen)
-			g.Step()
-			lane.End(nGen)
-			if *visual {
-				fmt.Printf("generation %d (population %d)\n%s\n", g.Generation, g.Population(),
-					vis.Render(g.Bools(), nil))
-			}
-		}
-	} else {
-		pr := &life.ParallelRunner{G: g, Threads: *threads, Partition: part, Trace: tr}
-		if *visual {
-			pr.OnRound = func(g *life.Grid) {
-				fmt.Printf("generation %d (population %d)\n%s\n", g.Generation, g.Population(),
-					vis.Render(g.Bools(), pr.Owner))
-			}
-		}
-		stats, err := pr.Run(*iters)
-		if err != nil {
-			return err
-		}
+			stats.Comm.Sends, stats.Comm.BytesSent, stats.Comm.Collectives)
+	case e.Workers > 1:
 		fmt.Printf("ran %d rounds on %d threads (%v partition), %d cell updates\n",
 			stats.Rounds, stats.Workers, part, stats.LiveUpdates)
 	}
@@ -235,7 +214,7 @@ func run() error {
 		fmt.Printf("final population %d after %d generations\n%s",
 			g.Population(), g.Generation, g.String())
 	}
-	return writeTrace(tr, *traceOut)
+	return writeTrace(e.Trace, *traceOut)
 }
 
 // writeTrace exports the recorded timeline as Chrome trace-event JSON,
@@ -261,29 +240,32 @@ func writeTrace(tr *obs.Trace, path string) error {
 	return nil
 }
 
-// runBench measures the speedup table. Metric names match the bench harness
-// in bench_test.go (ns/op, speedup, efficiency-%), and the whole table is
-// assembled before printing so measurement output never interleaves with
-// anything the workers write.
-func runBench(template *life.Grid, iters, maxThreads int, part life.Partition, dist bool) error {
+// runBench measures the speedup table: e's engine at 1 worker (the serial
+// engine) and at powers of two up to maxThreads. Metric names match the
+// bench harness in bench_test.go (ns/op, speedup, efficiency-%), and the
+// whole table is assembled before printing so measurement output never
+// interleaves with anything the workers write.
+func runBench(template *life.Grid, iters, maxThreads int, e life.Engine) error {
 	counts := []int{1}
 	for t := 2; t <= maxThreads; t *= 2 {
 		counts = append(counts, t)
 	}
 	points, err := sweep.MeasureScaling(context.Background(), counts, func(ctx context.Context, threads int) error {
-		_, err := life.Advance(ctx, template.Clone(), threads, part, dist, iters)
+		point := e
+		point.Workers = threads
+		_, err := life.Advance(ctx, template.Clone(), point, iters)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	engine := "shared memory"
-	if dist {
+	if e.Dist {
 		engine = "message passing"
 	}
 	var out strings.Builder
 	fmt.Fprintf(&out, "Game of Life speedup: %dx%d grid, %d iterations, %v partition, %s\n",
-		template.Rows, template.Cols, iters, part, engine)
+		template.Rows, template.Cols, iters, e.Partition, engine)
 	fmt.Fprintf(&out, "%8s %14s %9s %13s\n", "threads", "ns/op", "speedup", "efficiency-%")
 	for _, p := range points {
 		// One op is one full-grid generation, matching BenchmarkLifeSpeedup.

@@ -12,7 +12,7 @@ import (
 
 	"cs31/internal/life"
 	"cs31/internal/paravis"
-	"cs31/internal/pthread"
+	"cs31/internal/sweep"
 )
 
 func main() {
@@ -30,30 +30,22 @@ func main() {
 	fmt.Print(vis.Render(serial.Bools(), nil))
 
 	// Lab 10: parallel run with thread regions visible, verified against
-	// the serial engine. life.Advance picks the engine from the thread
-	// count: more than one runs the ParallelRunner.
-	const nThreads = 2
+	// the serial engine. life.Advance picks the engine from the spec: more
+	// than one worker runs the parallel engine.
+	twoThreads := life.Engine{Workers: 2}
 	parallel, err := cfg.BuildGrid(life.Torus)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := life.Advance(context.Background(), parallel, nThreads, life.ByRows, false, 2); err != nil {
+	if _, err := life.Advance(context.Background(), parallel, twoThreads, 2); err != nil {
 		log.Fatal(err)
 	}
 	if !parallel.Equal(serial) {
 		log.Fatal("parallel result diverged from serial!")
 	}
-	// Thread t owns the block of rows pthread.BlockRange gives it.
-	owner := func(r, _ int) int {
-		for t := 0; ; t++ {
-			if _, hi := pthread.BlockRange(t, nThreads, parallel.Rows); r < hi {
-				return t
-			}
-		}
-	}
 	fmt.Println("\nLab 10 (2 threads): same result, regions colored by owner")
 	colorVis := paravis.New(true)
-	fmt.Print(colorVis.Render(parallel.Bools(), owner))
+	fmt.Print(colorVis.Render(parallel.Bools(), twoThreads.Owner(parallel)))
 
 	// The lab's measurement: near-linear speedup on a big grid.
 	big, err := life.NewGrid(256, 256, life.Torus)
@@ -67,10 +59,9 @@ func main() {
 	}
 	fmt.Printf("\nspeedup on a %dx%d grid, 20 iterations (%d CPUs):\n",
 		big.Rows, big.Cols, runtime.NumCPU())
-	points, err := pthread.MeasureScaling(counts, func(threads int) {
-		if _, err := life.Advance(context.Background(), big.Clone(), threads, life.ByRows, false, 20); err != nil {
-			panic(err)
-		}
+	points, err := sweep.MeasureScaling(context.Background(), counts, func(ctx context.Context, threads int) error {
+		_, err := life.Advance(ctx, big.Clone(), life.Engine{Workers: threads}, 20)
+		return err
 	})
 	if err != nil {
 		log.Fatal(err)

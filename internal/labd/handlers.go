@@ -604,7 +604,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 		// the points (overlapping measurements would contend) and polls ctx
 		// between them, so a canceled request stops mid-series.
 		points, err := sweep.MeasureScaling(ctx, counts, func(ctx context.Context, threads int) error {
-			_, err := life.Advance(ctx, template.Clone(), threads, part, dist, req.Iters)
+			_, err := life.Advance(ctx, template.Clone(), life.Engine{Workers: threads, Partition: part, Dist: dist}, req.Iters)
 			return err
 		})
 		if err != nil {
@@ -626,7 +626,7 @@ func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunRespon
 	// A timed-out or canceled request stops the run: the parallel and dist
 	// engines join every worker and rank goroutine before Advance returns,
 	// and the serial engine stops at its next ctx poll.
-	st, err := life.Advance(ctx, g, req.Threads, part, dist, req.Iters)
+	st, err := life.Advance(ctx, g, life.Engine{Workers: req.Threads, Partition: part, Dist: dist}, req.Iters)
 	if err != nil {
 		if ctx.Err() != nil {
 			return resp, ctx.Err()

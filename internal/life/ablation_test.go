@@ -1,6 +1,7 @@
 package life
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -22,8 +23,8 @@ func BenchmarkPartitionAblation(b *testing.B) {
 				g.Randomize(1, 0.3)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
-					if _, err := pr.Run(1); err != nil {
+					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
+					if _, err := pr.RunCtx(context.Background(), 1); err != nil {
 						b.Fatal(err)
 					}
 				}

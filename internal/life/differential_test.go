@@ -8,6 +8,7 @@ package life
 // generations.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -90,8 +91,8 @@ func TestParallelMatchesReference(t *testing.T) {
 					g.Randomize(7, 0.3)
 					const gens = 6
 					want, wantUpdates := referenceRun(g, gens)
-					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
-					stats, err := pr.Run(gens)
+					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
+					stats, err := pr.RunCtx(context.Background(), gens)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,7 +115,7 @@ func TestParallelStatsMatchSerialKernel(t *testing.T) {
 	const gens = 5
 	_, serialChanged := referenceRun(g, gens)
 	pr := &ParallelRunner{G: g, Threads: 4}
-	stats, err := pr.Run(gens)
+	stats, err := pr.RunCtx(context.Background(), gens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +141,8 @@ func TestParallelSurplusThreads(t *testing.T) {
 				g.Randomize(17, 0.35)
 				const gens = 6
 				want, wantUpdates := referenceRun(g, gens)
-				pr := &ParallelRunner{G: g, Threads: 12, Partition: part}
-				stats, err := pr.Run(gens)
+				pr := &ParallelRunner{G: g, Threads: 12, partition: part}
+				stats, err := pr.RunCtx(context.Background(), gens)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,10 +204,10 @@ func TestRunnerMatchesReferenceRunner(t *testing.T) {
 					}
 					g.Randomize(23, 0.35)
 					want, wantUpdates := referenceRun(g, 6)
-					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
+					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
 					var total RunStats
 					for _, gens := range []int{1, 2, 3} {
-						stats, err := pr.Run(gens)
+						stats, err := pr.RunCtx(context.Background(), gens)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -235,7 +236,7 @@ func TestRunCountedMatchesParallelStats(t *testing.T) {
 	serial := g.Clone()
 	const gens = 7
 	pr := &ParallelRunner{G: g, Threads: 5}
-	stats, err := pr.Run(gens)
+	stats, err := pr.RunCtx(context.Background(), gens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestParallelRunAllocations(t *testing.T) {
 			}
 			g.Randomize(9, 0.3)
 			pr := &ParallelRunner{G: g, Threads: 4}
-			if _, err := pr.Run(gens); err != nil {
+			if _, err := pr.RunCtx(context.Background(), gens); err != nil {
 				t.Fatal(err)
 			}
 		})

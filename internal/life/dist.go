@@ -20,33 +20,26 @@ const (
 	distTagDown  = 2 // a rank's bottom owned row, sent to the neighbor below
 )
 
-// DistRunner advances a grid with message-passing ranks — the distributed-
-// memory sibling of ParallelRunner. The grid is row-block sharded across a
-// msgpass world: each rank owns a contiguous band of rows in a private
-// local buffer, exchanges one-row halos with its neighbors by Send/Recv
-// each generation, and the per-rank live-update counts meet in an
-// Allreduce. No rank ever touches another rank's memory; every byte that
-// crosses a shard boundary is a message, and the world's counters price
-// exactly that traffic. Bands and halo rows travel as packed []uint64
-// words, so a halo row costs ceil(cols/64)*8 bytes on the wire (512 bytes
-// at cols=4096), and each band advances through the SWAR kernel.
+// DistRunner is the dist engine: it advances a grid with message-passing
+// ranks, the distributed-memory sibling of ParallelRunner. The grid is
+// row-block sharded across a msgpass world: each rank owns a contiguous
+// band of rows in a private local buffer, exchanges one-row halos with its
+// neighbors by Send/Recv each generation, and the per-rank live-update
+// counts meet in an Allreduce. No rank ever touches another rank's memory;
+// every byte that crosses a shard boundary is a message, and the world's
+// counters price exactly that traffic. Bands and halo rows travel as
+// packed []uint64 words, so a halo row costs ceil(cols/64)*8 bytes on the
+// wire (512 bytes at cols=4096), and each band advances through the SWAR
+// kernel.
 //
-// The runner never writes its configuration fields: the rank count a run
-// actually uses is reported in RunStats.Workers.
+// Advance builds one for every caller in this module; the runner stays
+// exported, with the fields cs31bench sets, because the benchmark module
+// (bench/) drives it directly. The runner never writes its configuration
+// fields: the rank count a run actually uses is reported in
+// RunStats.Workers.
 type DistRunner struct {
 	G     *Grid
 	Ranks int
-
-	// Chaos, when non-nil, arms seeded fault injection on the world: bounded
-	// delivery delays and rank stalls that perturb timing without touching
-	// message order, so the halo exchange can be stress-tested against
-	// stragglers while staying bit-for-bit equal to the serial engine.
-	Chaos *msgpass.Chaos
-
-	// Watchdog, when positive, arms the deadlock detector: a protocol bug
-	// (or a chaos schedule that exposes one) surfaces as a structured
-	// DeadlockError naming the blocked ranks instead of a hang.
-	Watchdog time.Duration
 
 	// Trace, if non-nil, records one timeline lane per rank: "generation"
 	// and "halo-exchange" spans from the runner, plus the world's own
@@ -55,27 +48,12 @@ type DistRunner struct {
 	// the closing allreduce in chrome://tracing or Perfetto.
 	Trace *obs.Trace
 
-	// CommStats holds the world's traffic counters after Run returns.
+	// CommStats holds the world's traffic counters after RunCtx returns,
+	// a failed run's partial traffic included.
 	CommStats msgpass.WorldStats
-}
 
-// Run advances n generations across the runner's ranks and returns the
-// same statistics as ParallelRunner.Run, bit-for-bit equal to the serial
-// engine's RunCounted on the same board.
-//
-// Protocol per rank: receive your row block from rank 0 (tagBlock), then
-// each generation send your top/bottom owned rows to your neighbors
-// (tagUp/tagDown), receive theirs into your halo rows, and advance your
-// band with the SWAR kernel; after the last generation, Allreduce the
-// live-update counts and send your block back to rank 0. Neighbor
-// relationships wrap into a ring under Torus and fall off the ends
-// otherwise: a DeadEdges boundary halo stays all-dead, an AliveEdges one is
-// pinned all-live, and a MirrorEdges one is refreshed each generation with
-// the rank's own edge row (the reflection). A rank that is its own
-// neighbor (a single-rank torus) copies its edge rows locally instead of
-// messaging itself.
-func (dr *DistRunner) Run(n int) (*RunStats, error) {
-	return dr.RunCtx(context.Background(), n)
+	chaos    *msgpass.Chaos // Engine.Chaos
+	watchdog time.Duration  // Engine.Watchdog
 }
 
 // distNeighbors returns the ranks above and below a rank (-1 marks a
@@ -109,14 +87,32 @@ func (dr *DistRunner) traceHandles(c *msgpass.Comm) (lane *obs.Lane, nGen, nHalo
 	return lane, nGen, nHalo
 }
 
-// RunCtx is Run under a context: when ctx is canceled mid-run the world
-// aborts, every rank (including ones parked in halo receives or chaos
-// sleeps) unwinds promptly, all rank goroutines are joined, and the error
-// wraps ctx.Err(). The grid is left untouched on any error — generations
-// only commit after a clean collection.
+// RunCtx advances n generations across the runner's ranks under ctx,
+// after enter's checks, and returns the same statistics as the other
+// engines, bit-for-bit equal to the serial engine's on the same board,
+// plus the world's traffic counters in RunStats.Comm.
+//
+// Protocol per rank: receive your row block from rank 0 (tagBlock), then
+// each generation send your top/bottom owned rows to your neighbors
+// (tagUp/tagDown), receive theirs into your halo rows, and advance your
+// band with the SWAR kernel; after the last generation, Allreduce the
+// live-update counts and send your block back to rank 0. Neighbor
+// relationships wrap into a ring under Torus and fall off the ends
+// otherwise: a DeadEdges boundary halo stays all-dead, an AliveEdges one is
+// pinned all-live, and a MirrorEdges one is refreshed each generation with
+// the rank's own edge row (the reflection). A rank that is its own
+// neighbor (a single-rank torus) copies its edge rows locally instead of
+// messaging itself.
+//
+// When ctx is canceled mid-run the world aborts, every rank (including
+// ones parked in halo receives or chaos sleeps) unwinds promptly, all rank
+// goroutines are joined, and the error wraps ctx.Err(). The grid is left
+// untouched on any error — generations only commit after a clean
+// collection.
 func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
-	if dr.Ranks < 1 {
-		return nil, fmt.Errorf("life: need at least 1 rank")
+	ctx, err := enter(ctx, "dist", dr.Ranks, n)
+	if err != nil {
+		return nil, err
 	}
 	g := dr.G
 	// Clamp to the row extent, the same surplus-worker discipline as
@@ -133,14 +129,14 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	// message from each of up to four collective-tree children that have
 	// already reached the closing Allreduce.
 	var opts []msgpass.Option
-	if dr.Chaos != nil {
-		opts = append(opts, msgpass.WithChaos(*dr.Chaos))
+	if dr.chaos != nil {
+		opts = append(opts, msgpass.WithChaos(*dr.chaos))
 	}
 	if dr.Trace != nil {
 		opts = append(opts, msgpass.WithTrace(dr.Trace))
 	}
-	if dr.Watchdog > 0 {
-		opts = append(opts, msgpass.WithWatchdog(dr.Watchdog))
+	if dr.watchdog > 0 {
+		opts = append(opts, msgpass.WithWatchdog(dr.watchdog))
 	}
 	world, err := msgpass.NewWorld(ranks, opts...)
 	if err != nil {
@@ -157,6 +153,7 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	stats.Comm = dr.CommStats
 	// Promote the assembled generation. One swap suffices: the Grid's
 	// buffers were never touched mid-run, only the scratch side at
 	// collection time.

@@ -7,6 +7,7 @@ package life
 // class, re-tested here on the message-passing path).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestDistMatchesReference(t *testing.T) {
 					want, wantUpdates := referenceRun(g, gens)
 
 					dr := &DistRunner{G: g, Ranks: ranks}
-					stats, err := dr.Run(gens)
+					stats, err := dr.RunCtx(context.Background(), gens)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -58,13 +59,13 @@ func TestDistMatchesParallelRunner(t *testing.T) {
 				const gens = 6
 				pg := mk()
 				pr := &ParallelRunner{G: pg, Threads: workers}
-				pstats, err := pr.Run(gens)
+				pstats, err := pr.RunCtx(context.Background(), gens)
 				if err != nil {
 					t.Fatal(err)
 				}
 				dg := mk()
 				dr := &DistRunner{G: dg, Ranks: workers}
-				dstats, err := dr.Run(gens)
+				dstats, err := dr.RunCtx(context.Background(), gens)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +95,7 @@ func TestDistSurplusRanks(t *testing.T) {
 				want, wantUpdates := referenceRun(g, gens)
 
 				dr := &DistRunner{G: g, Ranks: 33}
-				stats, err := dr.Run(gens)
+				stats, err := dr.RunCtx(context.Background(), gens)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +121,7 @@ func TestDistCommStats(t *testing.T) {
 	g.Randomize(5, 0.3)
 	const gens, ranks = 3, 4
 	dr := &DistRunner{G: g, Ranks: ranks}
-	if _, err := dr.Run(gens); err != nil {
+	if _, err := dr.RunCtx(context.Background(), gens); err != nil {
 		t.Fatal(err)
 	}
 	ws := dr.CommStats
@@ -154,7 +155,7 @@ func TestDistValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{0, -1} {
-		if _, err := (&DistRunner{G: g, Ranks: ranks}).Run(1); err == nil {
+		if _, err := (&DistRunner{G: g, Ranks: ranks}).RunCtx(context.Background(), 1); err == nil {
 			t.Errorf("%d ranks accepted", ranks)
 		}
 	}
@@ -169,7 +170,7 @@ func TestDistZeroGenerations(t *testing.T) {
 	g.Randomize(11, 0.5)
 	want := g.Clone()
 	dr := &DistRunner{G: g, Ranks: 3}
-	stats, err := dr.Run(0)
+	stats, err := dr.RunCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

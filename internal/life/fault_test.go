@@ -38,14 +38,14 @@ func TestDistStragglerBitForBit(t *testing.T) {
 	dr := &DistRunner{
 		G:     g,
 		Ranks: 4,
-		Chaos: &msgpass.Chaos{
+		chaos: &msgpass.Chaos{
 			Seed:      99,
 			StallProb: 1,
 			MaxStall:  stall,
 			Ranks:     []int{1},
 		},
 	}
-	stats, err := dr.Run(gens)
+	stats, err := dr.RunCtx(context.Background(), gens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +86,16 @@ func TestDistChaosMatrix(t *testing.T) {
 				dr := &DistRunner{
 					G:     g,
 					Ranks: ranks,
-					Chaos: &msgpass.Chaos{
+					chaos: &msgpass.Chaos{
 						Seed:      int64(seed),
 						DelayProb: 0.5,
 						MaxDelay:  300 * time.Microsecond,
 						StallProb: 0.3,
 						MaxStall:  300 * time.Microsecond,
 					},
-					Watchdog: 5 * time.Second,
+					watchdog: 5 * time.Second,
 				}
-				stats, err := dr.Run(gens)
+				stats, err := dr.RunCtx(context.Background(), gens)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,15 +131,15 @@ func TestDistChaosHaloInboxBound(t *testing.T) {
 		dr := &DistRunner{
 			G:     g,
 			Ranks: ranks,
-			Chaos: &msgpass.Chaos{
+			chaos: &msgpass.Chaos{
 				Seed:      seed,
 				DelayProb: 1,
 				MaxDelay:  300 * time.Microsecond,
 				Ranks:     []int{5, 6},
 			},
-			Watchdog: 300 * time.Millisecond,
+			watchdog: 300 * time.Millisecond,
 		}
-		stats, err := dr.Run(gens)
+		stats, err := dr.RunCtx(context.Background(), gens)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -166,7 +166,7 @@ func TestDistRunCtxCancel(t *testing.T) {
 		Ranks: 4,
 		// Stall every receive long enough that cancellation always lands
 		// mid-run.
-		Chaos: &msgpass.Chaos{Seed: 1, StallProb: 1, MaxStall: 20 * time.Millisecond},
+		chaos: &msgpass.Chaos{Seed: 1, StallProb: 1, MaxStall: 20 * time.Millisecond},
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -290,8 +290,8 @@ func TestDistWatchdogPassesCleanRun(t *testing.T) {
 	}
 	g.Randomize(11, 0.3)
 	want, _ := referenceRun(g, 5)
-	dr := &DistRunner{G: g, Ranks: 4, Watchdog: 100 * time.Millisecond}
-	if _, err := dr.Run(5); err != nil {
+	dr := &DistRunner{G: g, Ranks: 4, watchdog: 100 * time.Millisecond}
+	if _, err := dr.RunCtx(context.Background(), 5); err != nil {
 		t.Fatalf("watchdog tripped on a healthy run: %v", err)
 	}
 	gridsMatch(t, "watchdog dist vs reference", g, want)

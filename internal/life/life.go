@@ -9,13 +9,16 @@ package life
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"strings"
 	"sync/atomic"
+	"time"
 
+	"cs31/internal/msgpass"
 	"cs31/internal/obs"
 	"cs31/internal/pthread"
 )
@@ -346,13 +349,163 @@ func Oscillator() *Config {
 	}
 }
 
-// RunStats is the per-run statistics the parallel workers produce: each
-// thread accumulates its tile's counts privately and the runner reduces
-// them after join.
+// RunStats is what one engine run reports. The parallel threads and the
+// dist ranks each accumulate their tile's counts privately, and the engine
+// reduces them after join.
 type RunStats struct {
 	LiveUpdates int64 // cells that changed state, summed across threads
 	Rounds      int
-	Workers     int // threads or ranks the run used, after clamping to the partition extent
+	Workers     int                // threads or ranks the run used, after clamping to the partition extent
+	Comm        msgpass.WorldStats // a dist run's traffic counters; zero on the other engines
+}
+
+// Engine is the spec Advance runs a board on. Workers up to 1 names the
+// serial engine (Lab 6) on the calling goroutine; more name the parallel
+// engine (Lab 10) with that many threads, or with Dist the message-passing
+// engine with that many ranks. Advance takes the spec by value, and no
+// engine writes it.
+type Engine struct {
+	Workers   int
+	Partition Partition // the parallel engine's split; the dist engine shards by rows only
+	Dist      bool
+
+	// Trace, if non-nil, records the run's timeline. The serial engine
+	// records a "generation" span per generation on one "serial" lane;
+	// ParallelRunner and DistRunner document their per-worker lanes.
+	Trace *obs.Trace
+
+	// OnRound, if non-nil, is called with each freshly computed
+	// generation, in order (used for visualization): on the calling
+	// goroutine by the serial engine, by the round's serial thread by the
+	// parallel engine (ParallelRunner documents the ordering). The dist
+	// engine refuses it: its generations exist only as per-rank bands
+	// until the final gather.
+	OnRound func(g *Grid)
+
+	// Chaos arms seeded fault injection on a dist run's world: bounded
+	// delivery delays and rank stalls that perturb timing without touching
+	// message order, so the halo exchange can be stress-tested against
+	// stragglers while staying bit-for-bit equal to the serial engine.
+	// Watchdog, when positive, arms the world's deadlock detector: a
+	// protocol hang surfaces as a structured DeadlockError naming the
+	// blocked ranks. Only a dist run of 2 or more ranks takes either.
+	Chaos    *msgpass.Chaos
+	Watchdog time.Duration
+}
+
+// extent is the number of partition units g splits into: rows under
+// ByRows, 64-cell words under ByCols. A ByCols tile is a block of whole
+// words — word w needs only read-shared access to words w-1 and w+1 of the
+// source parity buffer, so word tiles compose with the SWAR kernel with no
+// intra-word edge handling — and a board narrower than 64*T columns
+// therefore runs fewer than T column tiles. Engines clamp their worker
+// count to it: surplus workers would own empty tiles and only add
+// synchronization traffic.
+func (g *Grid) extent(part Partition) int {
+	if part == ByCols {
+		return g.wpr
+	}
+	return g.Rows
+}
+
+// Owner returns the ParaVis colouring of g under e: the worker that owns
+// cell (r, c), following the 64-cell word the column lives in under
+// ByCols. It returns nil when e names the serial engine, so a serial
+// render stays uncoloured.
+func (e Engine) Owner(g *Grid) func(r, c int) int {
+	if e.Workers <= 1 {
+		return nil
+	}
+	extent := g.extent(e.Partition)
+	workers := min(e.Workers, extent)
+	return func(r, c int) int {
+		pos := r
+		if e.Partition == ByCols {
+			pos = c >> 6
+		}
+		for id := 0; id < workers; id++ {
+			if _, hi := pthread.BlockRange(id, workers, extent); pos < hi {
+				return id
+			}
+		}
+		return 0
+	}
+}
+
+// errNegativeGens classes a run asked for fewer than zero generations.
+var errNegativeGens = errors.New("negative generation count")
+
+// enter is the check every engine runs before any work: n < 0 and fewer
+// than 1 worker are errors, a nil ctx means context.Background(), and a
+// done ctx fails whatever n is. The runners call it before they spawn a
+// thread or start a world, so a refused run leaves the grid untouched; for
+// the serial engine it is the first ctx poll.
+func enter(ctx context.Context, engine string, workers, n int) (context.Context, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("life: %s run of %d generations: %w", engine, n, errNegativeGens)
+	}
+	if workers < 1 {
+		return nil, fmt.Errorf("life: %s run on %d workers, need at least 1", engine, workers)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("life: %s run not started: %w", engine, err)
+	}
+	return ctx, nil
+}
+
+// serialPollGens is how many generations the serial engine runs between
+// ctx polls: Step has no cancellation point of its own, so a canceled run
+// stops on the next multiple of serialPollGens.
+const serialPollGens = 8
+
+// Advance runs n generations of g under ctx on the engine e names. It is
+// the one engine entry labd, the sweep engine, cmd/life and
+// examples/gameoflife share. It first refuses settings the named engine
+// cannot honour, with an error wrapping errors.ErrUnsupported: dist with
+// ByCols or OnRound at any worker count, and Chaos or Watchdog without a
+// dist run of 2 or more ranks. Every engine
+// then applies enter's rules. The serial engine polls ctx every
+// serialPollGens generations; the parallel and dist engines run a
+// ParallelRunner or a DistRunner under the same ctx.
+func Advance(ctx context.Context, g *Grid, e Engine, n int) (*RunStats, error) {
+	switch {
+	case e.Dist && e.Partition != ByRows:
+		return nil, fmt.Errorf("life: the dist engine shards by rows only: %w", errors.ErrUnsupported)
+	case e.Dist && e.OnRound != nil:
+		return nil, fmt.Errorf("life: the dist engine takes no OnRound callback: %w", errors.ErrUnsupported)
+	case (e.Chaos != nil || e.Watchdog > 0) && !(e.Dist && e.Workers > 1):
+		return nil, fmt.Errorf("life: chaos and watchdog need the dist engine on 2 or more ranks: %w", errors.ErrUnsupported)
+	case e.Workers > 1 && e.Dist:
+		return (&DistRunner{G: g, Ranks: e.Workers, Trace: e.Trace, chaos: e.Chaos, watchdog: e.Watchdog}).RunCtx(ctx, n)
+	case e.Workers > 1:
+		return (&ParallelRunner{G: g, Threads: e.Workers, Trace: e.Trace, partition: e.Partition, onRound: e.OnRound}).RunCtx(ctx, n)
+	}
+	ctx, err := enter(ctx, "serial", 1, n)
+	if err != nil {
+		return nil, err
+	}
+	var lane *obs.Lane
+	var nGen obs.Name
+	if e.Trace != nil {
+		lane, nGen = e.Trace.Lane("serial"), e.Trace.Name("generation")
+	}
+	var updates int64
+	for gen := 0; gen < n; gen++ {
+		if gen > 0 && gen%serialPollGens == 0 && ctx.Err() != nil {
+			return nil, fmt.Errorf("life: serial run canceled after %d of %d generations: %w", gen, n, ctx.Err())
+		}
+		lane.Begin(nGen)
+		updates += g.stepPackedBlock(0, g.Rows, 0, g.wpr)
+		g.swap()
+		lane.End(nGen)
+		if e.OnRound != nil {
+			e.OnRound(g)
+		}
+	}
+	return &RunStats{LiveUpdates: updates, Rounds: n, Workers: 1}, nil
 }
 
 // statShardStride spaces per-thread LiveUpdates accumulators a cache line
@@ -360,21 +513,15 @@ type RunStats struct {
 // each worker issues after its loop never false-shares with a neighbor.
 const statShardStride = 8
 
-// ParallelRunner advances a grid with worker threads (Lab 10). The runner
+// ParallelRunner is the parallel engine (Lab 10): worker threads that each
+// own a tile of the grid. Advance builds one for every caller in this
+// module; the runner stays exported, with the fields cs31bench sets,
+// because the benchmark module (bench/) drives it directly. The runner
 // never writes its own fields: the thread count a run actually uses is
 // reported in RunStats.Workers, so a runner can be reused across boards.
 type ParallelRunner struct {
-	G         *Grid
-	Threads   int
-	Partition Partition
-
-	// OnRound, if non-nil, is called by the round's serial thread with the
-	// freshly computed generation (used for visualization). Successive
-	// callbacks are ordered (round r's callback happens before round
-	// r+1's), but other workers may already be computing the next
-	// generation while a callback runs; the grid state the callback
-	// observes is stable until it returns.
-	OnRound func(g *Grid)
+	G       *Grid
+	Threads int
 
 	// Trace, if non-nil, records one timeline lane per worker: a
 	// "generation" span around each kernel step and a "barrier-wait" span
@@ -387,68 +534,51 @@ type ParallelRunner struct {
 	// crossing (one observation per worker per generation), sharded by
 	// party id.
 	BarrierWaits *obs.Histogram
-}
 
-// extent is the number of partition units the grid splits into: rows
-// under ByRows, 64-cell words under ByCols. A ByCols tile is a block of
-// whole words — word w needs only read-shared access to words w-1 and w+1
-// of the source parity buffer, so word tiles compose with the SWAR kernel
-// with no intra-word edge handling — and a board narrower than 64*T
-// columns therefore runs fewer than T column tiles.
-func (pr *ParallelRunner) extent() int {
-	if pr.Partition == ByCols {
-		return pr.G.wpr
-	}
-	return pr.G.Rows
-}
+	partition Partition // Engine.Partition; ByRows unless Advance sets it
 
-// workers clamps the requested thread count to the partition extent:
-// surplus threads would own empty tiles, and spawning them only adds
-// barrier traffic.
-func (pr *ParallelRunner) workers() int {
-	return min(pr.Threads, pr.extent())
-}
-
-// Run advances n generations in parallel: each thread owns a block of rows
-// (or word columns) and runs the same SWAR kernel as the serial engine
-// over it. One combining-tree barrier crossing separates generations: the
-// parity swap is thread-local (each worker alternates src/dst every
-// round), so no shared state needs a second protected phase — the round's
-// serial thread publishes the new generation on the Grid while the others
-// proceed. LiveUpdates accumulate in a register per worker and land in a
-// cache-line-padded shard once after the loop, reduced after join; the
-// per-generation hot path takes no lock and allocates nothing.
-func (pr *ParallelRunner) Run(n int) (*RunStats, error) {
-	return pr.RunCtx(context.Background(), n)
+	// onRound is Engine.OnRound, called by the round's serial thread with
+	// the freshly computed generation. Successive callbacks are ordered
+	// (round r's callback happens before round r+1's), but other workers
+	// may already be computing the next generation while a callback runs;
+	// the grid state the callback observes is stable until it returns.
+	onRound func(g *Grid)
 }
 
 // noStop is stopRound's armed-but-not-triggered sentinel.
 const noStop = math.MaxInt64
 
-// RunCtx is Run under a context. Cancellation must be *uniform*: every
-// worker has to leave the round loop at the same round boundary, or the
-// leavers strand the stayers at the next barrier forever. The round's
-// serial thread is the only cancellation observer: on a canceled context it
-// arms stopRound = r+2 (stop before round r+2) after publishing round r.
-// Every worker compares its finished round against stopRound at the bottom
-// of each iteration; the barrier's own synchronization guarantees that by
-// the time any worker finishes round r+1 it sees the arm (the serial thread
-// stored it before arriving at barrier r+1), so all workers break together
-// after round r+1. Cancellation therefore costs at most one extra
-// generation of latency, the grid is left on a whole-generation boundary,
-// and the error wraps ctx.Err().
+// RunCtx advances n generations in parallel under ctx, after enter's
+// checks: each thread owns a block of rows (or word columns) and runs the
+// same SWAR kernel as the serial engine over it. One combining-tree
+// barrier crossing separates generations: the parity swap is thread-local
+// (each worker alternates src/dst every round), so no shared state needs a
+// second protected phase — the round's serial thread publishes the new
+// generation on the Grid while the others proceed. LiveUpdates accumulate
+// in a register per worker and land in a cache-line-padded shard once
+// after the loop, reduced after join; the per-generation hot path takes no
+// lock and allocates nothing.
+//
+// Cancellation must be *uniform*: every worker has to leave the round loop
+// at the same round boundary, or the leavers strand the stayers at the
+// next barrier forever. The round's serial thread is the only cancellation
+// observer: on a canceled context it arms stopRound = r+2 (stop before
+// round r+2) after publishing round r. Every worker compares its finished
+// round against stopRound at the bottom of each iteration; the barrier's
+// own synchronization guarantees that by the time any worker finishes
+// round r+1 it sees the arm (the serial thread stored it before arriving
+// at barrier r+1), so all workers break together after round r+1.
+// Cancellation therefore costs at most one extra generation of latency,
+// the grid is left on a whole-generation boundary, and the error wraps
+// ctx.Err().
 func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
-	if pr.Threads < 1 {
-		return nil, fmt.Errorf("life: need at least 1 thread")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("life: parallel run not started: %w", err)
+	ctx, err := enter(ctx, "parallel", pr.Threads, n)
+	if err != nil {
+		return nil, err
 	}
 	g := pr.G
-	extent, threads := pr.extent(), pr.workers()
+	extent := g.extent(pr.partition)
+	threads := min(pr.Threads, extent)
 	barrier, err := pthread.NewBarrier(threads)
 	if err != nil {
 		return nil, err
@@ -473,7 +603,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 	rows, cols, wpr, mode := g.Rows, g.Cols, g.wpr, g.Mode
 	src0, dst0 := g.cells, g.next
 	zero, one := g.zeroRow, g.oneRow
-	byRows := pr.Partition == ByRows
+	byRows := pr.partition == ByRows
 	var stopRound atomic.Int64
 	stopRound.Store(noStop)
 	ctxDone := ctx.Done()
@@ -507,8 +637,8 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 				g.cells, g.next = dst, src
 				g.Generation++
 				stats.Rounds++
-				if pr.OnRound != nil {
-					pr.OnRound(g)
+				if pr.onRound != nil {
+					pr.onRound(g)
 				}
 				// Arm the uniform stop. Round serial threads are totally
 				// ordered, so the CAS fires at most once; workers racing
@@ -537,60 +667,4 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		return nil, fmt.Errorf("life: parallel run canceled after %d of %d rounds: %w", stats.Rounds, n, ctx.Err())
 	}
 	return stats, nil
-}
-
-// serialPollGens is how many generations the serial engine in Advance runs
-// between ctx polls: Step has no cancellation point of its own, so a
-// canceled run stops on the next multiple of serialPollGens.
-const serialPollGens = 8
-
-// Advance runs n generations of g under ctx on the engine that workers,
-// part and dist name. It is the one engine dispatch labd, the sweep engine
-// and cmd/life -bench share. workers <= 1 runs the serial engine (Lab 6)
-// on the calling goroutine, polling ctx every serialPollGens generations;
-// more workers run a DistRunner with that many ranks when dist is set,
-// else a ParallelRunner with that many threads. The dist engine shards by
-// rows only, so dist with ByCols is refused at any worker count. A nil ctx
-// means context.Background().
-func Advance(ctx context.Context, g *Grid, workers int, part Partition, dist bool, n int) (*RunStats, error) {
-	if dist && part != ByRows {
-		return nil, fmt.Errorf("life: the dist engine shards by rows only")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	switch {
-	case workers > 1 && dist:
-		return (&DistRunner{G: g, Ranks: workers}).RunCtx(ctx, n)
-	case workers > 1:
-		return (&ParallelRunner{G: g, Threads: workers, Partition: part}).RunCtx(ctx, n)
-	}
-	stats := &RunStats{Workers: 1}
-	for stats.Rounds < n {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("life: serial run canceled after %d of %d generations: %w", stats.Rounds, n, err)
-		}
-		step := min(n-stats.Rounds, serialPollGens)
-		stats.LiveUpdates += g.RunCounted(step)
-		stats.Rounds += step
-	}
-	return stats, nil
-}
-
-// Owner reports which thread owns cell (r, c) under the runner's
-// partitioning — used by paravis to color regions. Under ByCols ownership
-// follows the 64-cell word the column lives in.
-func (pr *ParallelRunner) Owner(r, c int) int {
-	pos := r
-	if pr.Partition == ByCols {
-		pos = c >> 6
-	}
-	extent, threads := pr.extent(), pr.workers()
-	for id := 0; id < threads; id++ {
-		lo, hi := pthread.BlockRange(id, threads, extent)
-		if pos >= lo && pos < hi {
-			return id
-		}
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package life
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,8 +176,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 				parallel := serial.Clone()
 
 				serial.Run(6)
-				pr := &ParallelRunner{G: parallel, Threads: threads, Partition: part}
-				stats, err := pr.Run(6)
+				pr := &ParallelRunner{G: parallel, Threads: threads, partition: part}
+				stats, err := pr.RunCtx(context.Background(), 6)
 				if err != nil {
 					t.Fatalf("threads=%d part=%v seed=%d: %v", threads, part, seed, err)
 				}
@@ -204,8 +205,8 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 		serial.Randomize(seed, 0.4)
 		parallel := serial.Clone()
 		serial.Run(3)
-		pr := &ParallelRunner{G: parallel, Threads: threads, Partition: part}
-		if _, err := pr.Run(3); err != nil {
+		pr := &ParallelRunner{G: parallel, Threads: threads, partition: part}
+		if _, err := pr.RunCtx(context.Background(), 3); err != nil {
 			return false
 		}
 		return parallel.Equal(serial)
@@ -218,7 +219,7 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 func TestParallelRunnerValidation(t *testing.T) {
 	g, _ := NewGrid(4, 4, Torus)
 	pr := &ParallelRunner{G: g, Threads: 0}
-	if _, err := pr.Run(1); err == nil {
+	if _, err := pr.RunCtx(context.Background(), 1); err == nil {
 		t.Error("0 threads should fail")
 	}
 }
@@ -228,8 +229,8 @@ func TestParallelMoreThreadsThanRows(t *testing.T) {
 	serial.Randomize(5, 0.5)
 	parallel := serial.Clone()
 	serial.Run(2)
-	pr := &ParallelRunner{G: parallel, Threads: 16, Partition: ByRows}
-	if _, err := pr.Run(2); err != nil {
+	pr := &ParallelRunner{G: parallel, Threads: 16, partition: ByRows}
+	if _, err := pr.RunCtx(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if !parallel.Equal(serial) {
@@ -243,9 +244,9 @@ func TestOnRoundCallback(t *testing.T) {
 	var gens []int
 	pr := &ParallelRunner{
 		G: g, Threads: 2,
-		OnRound: func(g *Grid) { gens = append(gens, g.Generation) },
+		onRound: func(g *Grid) { gens = append(gens, g.Generation) },
 	}
-	if _, err := pr.Run(4); err != nil {
+	if _, err := pr.RunCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(gens) != 4 {
@@ -260,16 +261,16 @@ func TestOnRoundCallback(t *testing.T) {
 
 func TestOwnerPartitioning(t *testing.T) {
 	g, _ := NewGrid(10, 10, Torus)
-	pr := &ParallelRunner{G: g, Threads: 3, Partition: ByRows}
-	if pr.Owner(0, 5) != 0 || pr.Owner(9, 5) != 2 {
-		t.Errorf("row owners: %d, %d", pr.Owner(0, 5), pr.Owner(9, 5))
+	owner := Engine{Workers: 3, Partition: ByRows}.Owner(g)
+	if owner(0, 5) != 0 || owner(9, 5) != 2 {
+		t.Errorf("row owners: %d, %d", owner(0, 5), owner(9, 5))
 	}
 	// ByCols tiles are 64-column word blocks: on a 130-column board (three
 	// words) two threads split words {0, 1} and {2}.
 	wide, _ := NewGrid(10, 130, Torus)
-	prc := &ParallelRunner{G: wide, Threads: 2, Partition: ByCols}
+	colOwner := Engine{Workers: 2, Partition: ByCols}.Owner(wide)
 	for c, want := range map[int]int{0: 0, 63: 0, 64: 0, 127: 0, 128: 1, 129: 1} {
-		if got := prc.Owner(5, c); got != want {
+		if got := colOwner(5, c); got != want {
 			t.Errorf("column %d owned by %d, want %d", c, got, want)
 		}
 	}
@@ -285,13 +286,13 @@ func TestOwnerPartitioning(t *testing.T) {
 func TestRunnerReuseReportsWorkers(t *testing.T) {
 	narrow, _ := NewGrid(8, 64, Torus)
 	wide, _ := NewGrid(8, 1024, Torus)
-	pr := &ParallelRunner{G: narrow, Threads: 8, Partition: ByCols}
+	pr := &ParallelRunner{G: narrow, Threads: 8, partition: ByCols}
 	for _, c := range []struct {
 		g    *Grid
 		want int
 	}{{narrow, 1}, {wide, 8}} {
 		pr.G = c.g
-		stats, err := pr.Run(1)
+		stats, err := pr.RunCtx(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestRunnerReuseReportsWorkers(t *testing.T) {
 		want int
 	}{{short, 3}, {tall, 8}} {
 		dr.G = c.g
-		stats, err := dr.Run(1)
+		stats, err := dr.RunCtx(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestLiveUpdatesCounted(t *testing.T) {
 	cfg := Oscillator()
 	g, _ := cfg.BuildGrid(Torus)
 	pr := &ParallelRunner{G: g, Threads: 2}
-	stats, err := pr.Run(1)
+	stats, err := pr.RunCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func BenchmarkLifeParallel64x4(b *testing.B) {
 	pr := &ParallelRunner{G: g, Threads: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pr.Run(1); err != nil {
+		if _, err := pr.RunCtx(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

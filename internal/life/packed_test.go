@@ -7,6 +7,7 @@ package life
 // the per-cell reference loop, boards AND live-update statistics.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -134,7 +135,7 @@ func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 					gridsMatch(t, "serial", g, want)
 
 					g = start.Clone()
-					stats, err := (&ParallelRunner{G: g, Threads: 3, Partition: ByCols}).Run(gens)
+					stats, err := (&ParallelRunner{G: g, Threads: 3, partition: ByCols}).RunCtx(context.Background(), gens)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -142,7 +143,7 @@ func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 					statsMatch(t, "parallel by word columns", stats, wantUpdates, gens)
 
 					g = start.Clone()
-					stats, err = (&DistRunner{G: g, Ranks: 3}).Run(gens)
+					stats, err = (&DistRunner{G: g, Ranks: 3}).RunCtx(context.Background(), gens)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,8 +170,8 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 					g.Randomize(7, 0.3)
 					const gens = 6
 					want, wantUpdates := referenceRun(g, gens)
-					pr := &ParallelRunner{G: g, Threads: threads, Partition: part}
-					stats, err := pr.Run(gens)
+					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
+					stats, err := pr.RunCtx(context.Background(), gens)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -197,7 +198,7 @@ func TestPackedDistMatchesReference(t *testing.T) {
 					const gens = 8
 					want, wantUpdates := referenceRun(g, gens)
 					dr := &DistRunner{G: g, Ranks: ranks}
-					stats, err := dr.Run(gens)
+					stats, err := dr.RunCtx(context.Background(), gens)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -222,7 +223,7 @@ func TestPackedDistHaloBytes(t *testing.T) {
 	}
 	g.Randomize(5, 0.3)
 	dr := &DistRunner{G: g, Ranks: ranks}
-	if _, err := dr.Run(gens); err != nil {
+	if _, err := dr.RunCtx(context.Background(), gens); err != nil {
 		t.Fatal(err)
 	}
 	const rowBytes = (cols / 64) * 8 // 512: one packed halo row on the wire
@@ -371,7 +372,7 @@ func FuzzPackedLife(f *testing.F) {
 			t.Errorf("%s serial: live updates %d (reference %d), boards equal %v", label, got, wantUpdates, g.Equal(want))
 		}
 		g = start.Clone()
-		stats, err := (&ParallelRunner{G: g, Threads: workers, Partition: part}).Run(gens)
+		stats, err := (&ParallelRunner{G: g, Threads: workers, partition: part}).RunCtx(context.Background(), gens)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +380,7 @@ func FuzzPackedLife(f *testing.F) {
 			t.Errorf("%s parallel %v/%d: live updates %d (reference %d), boards equal %v", label, part, workers, stats.LiveUpdates, wantUpdates, g.Equal(want))
 		}
 		g = start.Clone()
-		stats, err = (&DistRunner{G: g, Ranks: workers}).Run(gens)
+		stats, err = (&DistRunner{G: g, Ranks: workers}).RunCtx(context.Background(), gens)
 		if err != nil {
 			t.Fatal(err)
 		}

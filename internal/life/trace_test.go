@@ -2,6 +2,7 @@ package life
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestParallelRunnerTrace(t *testing.T) {
 	tr := obs.New()
 	waits := obs.NewHistogram(threads)
 	pr := &ParallelRunner{G: g, Threads: threads, Trace: tr, BarrierWaits: waits}
-	if _, err := pr.Run(gens); err != nil {
+	if _, err := pr.RunCtx(context.Background(), gens); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +108,7 @@ func TestDistRunnerTrace(t *testing.T) {
 
 	tr := obs.New()
 	dr := &DistRunner{G: g, Ranks: ranks, Trace: tr}
-	stats, err := dr.Run(gens)
+	stats, err := dr.RunCtx(context.Background(), gens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestDistRunnerTracePacked(t *testing.T) {
 
 	tr := obs.New()
 	dr := &DistRunner{G: g, Ranks: ranks, Trace: tr}
-	if _, err := dr.Run(gens); err != nil {
+	if _, err := dr.RunCtx(context.Background(), gens); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,5 +196,49 @@ func TestDistRunnerTracePacked(t *testing.T) {
 	for r := 0; r < ranks; r++ {
 		label := fmt.Sprintf("rank %d", r)
 		seqEqual(t, label, filterSeq(sum.PerLane[label], "generation", "halo-exchange"), want)
+	}
+}
+
+// TestAdvanceSerialTrace: a traced serial Advance of n generations records
+// n properly nested "generation" spans on one "serial" lane, across ctx
+// poll chunks, and OnRound sees generations 1..n in order.
+func TestAdvanceSerialTrace(t *testing.T) {
+	const gens = 2*serialPollGens + 3
+	g := seededGrid(t)
+	want, wantUpdates := referenceRun(g, gens)
+	tr := obs.New()
+	var seen []int
+	e := Engine{Workers: 1, Trace: tr, OnRound: func(g *Grid) { seen = append(seen, g.Generation) }}
+	stats, err := Advance(context.Background(), g, e, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridsMatch(t, "traced serial vs reference", g, want)
+	statsMatch(t, "traced serial vs reference", stats, wantUpdates, gens)
+
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obs.ValidateChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatalf("exported trace failed validation: %v", err)
+	}
+	if len(sum.PerLane) != 1 {
+		t.Fatalf("trace has %d lanes (%v), want the one serial lane", len(sum.PerLane), sum.Lanes)
+	}
+	var wantSeq []string
+	for i := 0; i < gens; i++ {
+		wantSeq = append(wantSeq, "generation/B", "generation/E")
+	}
+	seqEqual(t, "serial", sum.PerLane["serial"], wantSeq)
+
+	if len(seen) != gens {
+		t.Fatalf("OnRound saw generations %v, want 1..%d", seen, gens)
+	}
+	for i, gen := range seen {
+		if gen != i+1 {
+			t.Errorf("callback %d saw generation %d, want %d", i, gen, i+1)
+		}
 	}
 }

@@ -98,35 +98,3 @@ type ScalingPoint struct {
 	Speedup    float64
 	Efficiency float64
 }
-
-// MeasureScaling times work(threads) for each thread count and reports
-// speedup relative to the first entry (usually 1 thread) — the measurement
-// students make in Lab 10.
-func MeasureScaling(threadCounts []int, work func(threads int)) ([]ScalingPoint, error) {
-	if len(threadCounts) == 0 {
-		return nil, fmt.Errorf("pthread: no thread counts")
-	}
-	points := make([]ScalingPoint, 0, len(threadCounts))
-	var base time.Duration
-	for i, tc := range threadCounts {
-		if tc < 1 {
-			return nil, fmt.Errorf("pthread: invalid thread count %d", tc)
-		}
-		start := time.Now()
-		work(tc)
-		elapsed := time.Since(start)
-		if elapsed <= 0 {
-			elapsed = time.Nanosecond
-		}
-		if i == 0 {
-			base = elapsed
-		}
-		points = append(points, ScalingPoint{
-			Threads:    tc,
-			Elapsed:    elapsed,
-			Speedup:    Speedup(base, elapsed),
-			Efficiency: Efficiency(base, elapsed, tc),
-		})
-	}
-	return points, nil
-}

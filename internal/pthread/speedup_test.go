@@ -2,7 +2,6 @@ package pthread
 
 import (
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -181,36 +180,5 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 	if err := ParallelFor(0, 10, func(int) {}); err == nil {
 		t.Error("zero threads should fail")
-	}
-}
-
-func TestMeasureScaling(t *testing.T) {
-	points, err := MeasureScaling([]int{1, 2, 4}, func(threads int) {
-		// Parallel busy work: real goroutines so scaling is plausible.
-		ParallelFor(threads, 4, func(int) {
-			x := 0
-			for i := 0; i < 200000; i++ {
-				x += i
-			}
-			_ = x
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points: %+v", points)
-	}
-	if points[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %v", points[0].Speedup)
-	}
-	if runtime.NumCPU() >= 2 && points[1].Speedup < 0.5 {
-		t.Errorf("2-thread speedup implausibly low: %v", points[1].Speedup)
-	}
-	if _, err := MeasureScaling(nil, func(int) {}); err == nil {
-		t.Error("empty thread counts should fail")
-	}
-	if _, err := MeasureScaling([]int{0}, func(int) {}); err == nil {
-		t.Error("invalid thread count should fail")
 	}
 }

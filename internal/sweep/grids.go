@@ -86,7 +86,7 @@ func RunLifeGrid(ctx context.Context, workers int, cases []LifeCase) ([]LifeResu
 			return LifeResult{}, err
 		}
 		g.Randomize(c.Seed, c.Density)
-		stats, err := life.Advance(ctx, g, c.Threads, c.Partition, c.Dist, c.Gens)
+		stats, err := life.Advance(ctx, g, life.Engine{Workers: c.Threads, Partition: c.Partition, Dist: c.Dist}, c.Gens)
 		if err != nil {
 			return LifeResult{}, fmt.Errorf("life case %s: %w", c, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"cs31/internal/cache"
 	"cs31/internal/life"
+	"cs31/internal/pthread"
 	"cs31/internal/sorting"
 	"cs31/internal/vm"
 )
@@ -125,6 +127,29 @@ func TestMeasureScalingSeries(t *testing.T) {
 	}
 	if _, err := MeasureScaling(context.Background(), []int{0}, func(context.Context, int) error { return nil }); err == nil {
 		t.Error("thread count 0 accepted")
+	}
+}
+
+// TestMeasureScalingParallelForSpeedup times pthread.ParallelFor busy work
+// at 1, 2 and 4 threads. On 2 or more CPUs the 2-thread point must not
+// read implausibly slow: a ParallelFor that serialized its blocks, or a
+// series that timed its points against the wrong base, would.
+func TestMeasureScalingParallelForSpeedup(t *testing.T) {
+	points, err := MeasureScaling(context.Background(), []int{1, 2, 4}, func(_ context.Context, threads int) error {
+		// Parallel busy work: real threads, so scaling is plausible.
+		return pthread.ParallelFor(threads, 4, func(int) {
+			x := 0
+			for i := 0; i < 200000; i++ {
+				x += i
+			}
+			_ = x
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.NumCPU() >= 2 && points[1].Speedup < 0.5 {
+		t.Errorf("2-thread speedup implausibly low: %v", points[1].Speedup)
 	}
 }
 
