@@ -28,6 +28,44 @@ func main() {
 	}
 }
 
+// maxMatrixElems bounds a built-in workload's rows*cols: the trace holds
+// one 16-byte access per element, so the bound is 256 MiB of trace.
+const maxMatrixElems = 1 << 24
+
+// checkCache rejects a cache geometry the simulator cannot build: a
+// -size, -block or -assoc below 1 is named alone, and the rules of how
+// the three combine (cache.Config.Validate) name all three.
+func checkCache(cfg cache.Config) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-size", cfg.SizeBytes}, {"-block", cfg.BlockSize}, {"-assoc", cfg.Assoc}} {
+		if f.v < 1 {
+			return fmt.Errorf("%s %d below 1", f.name, f.v)
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-size %d, -block %d, -assoc %d: %w", cfg.SizeBytes, cfg.BlockSize, cfg.Assoc, err)
+	}
+	return nil
+}
+
+// checkMatrix rejects a built-in workload's -rows or -cols below 1, and a
+// matrix of more than maxMatrixElems elements. The product is bounded by
+// division, so no side overflows it.
+func checkMatrix(rows, cols int) error {
+	if rows < 1 {
+		return fmt.Errorf("-rows %d below 1", rows)
+	}
+	if cols < 1 {
+		return fmt.Errorf("-cols %d below 1", cols)
+	}
+	if rows > maxMatrixElems/cols {
+		return fmt.Errorf("-rows %d by -cols %d exceeds %d elements", rows, cols, maxMatrixElems)
+	}
+	return nil
+}
+
 func run() error {
 	size := flag.Int("size", 1024, "total cache size in bytes")
 	block := flag.Int("block", 16, "block size in bytes")
@@ -42,6 +80,9 @@ func run() error {
 	flag.Parse()
 
 	cfg := cache.Config{SizeBytes: *size, BlockSize: *block, Assoc: *assoc}
+	if err := checkCache(cfg); err != nil {
+		return err
+	}
 	var err error
 	cfg.Write, cfg.Alloc, cfg.Repl, err = cache.ParsePolicies(*write, *alloc, *repl)
 	if err != nil {
@@ -50,10 +91,15 @@ func run() error {
 
 	var trace []memhier.Access
 	switch *workload {
-	case "rowmajor":
-		trace = memhier.MatrixTraceRowMajor(0, *rows, *cols, 4)
-	case "colmajor":
-		trace = memhier.MatrixTraceColMajor(0, *rows, *cols, 4)
+	case "rowmajor", "colmajor":
+		if err := checkMatrix(*rows, *cols); err != nil {
+			return err
+		}
+		build := memhier.MatrixTraceRowMajor
+		if *workload == "colmajor" {
+			build = memhier.MatrixTraceColMajor
+		}
+		trace = build(0, *rows, *cols, 4)
 	case "":
 		trace, err = readTrace(os.Stdin)
 		if err != nil {

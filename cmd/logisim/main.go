@@ -28,6 +28,18 @@ func main() {
 	}
 }
 
+// checkWidth rejects an ALU -width outside [1, 64], or outside [1, 8]
+// under -verify, which runs every pair of operands.
+func checkWidth(width int, verify bool) error {
+	switch {
+	case verify && (width < 1 || width > 8):
+		return fmt.Errorf("-width %d outside [1, 8]: -verify runs every pair of operands", width)
+	case width < 1 || width > 64:
+		return fmt.Errorf("-width %d outside [1, 64]", width)
+	}
+	return nil
+}
+
 func run() error {
 	alu := flag.Bool("alu", false, "run one ALU operation")
 	verify := flag.Bool("verify", false, "exhaustively verify the gate-level ALU against the reference")
@@ -45,6 +57,9 @@ func run() error {
 
 	switch {
 	case *alu:
+		if err := checkWidth(*width, false); err != nil {
+			return err
+		}
 		op, err := parseOp(*opName)
 		if err != nil {
 			return err
@@ -76,8 +91,8 @@ func run() error {
 // every (op, a, b) combination, 64 vectors per settle through the
 // bit-parallel batch engine.
 func runVerify(out *bufio.Writer, width int) error {
-	if width > 8 {
-		return fmt.Errorf("exhaustive verify limited to width <= 8 (got %d)", width)
+	if err := checkWidth(width, true); err != nil {
+		return err
 	}
 	c := circuit.New()
 	unit := circuit.NewALU(c, width)

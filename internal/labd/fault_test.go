@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cs31/internal/obs"
 	"cs31/internal/pthread"
 )
 
@@ -20,7 +21,7 @@ import (
 // scheduler level: backlog (queued + running) spread over the workers,
 // clamped to [1, 30].
 func TestRetryAfterFromBacklog(t *testing.T) {
-	s := NewScheduler(2, 8)
+	s := NewScheduler(2, 8, obs.NewRegistry(), nil)
 	defer s.Shutdown(context.Background())
 
 	if got := s.RetryAfter(); got != 1 {

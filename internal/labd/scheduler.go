@@ -34,7 +34,7 @@ type job struct {
 	run      func(ctx context.Context)
 	done     chan struct{}
 	skipped  bool      // set before done is closed when the job never ran
-	enqueued time.Time // stamped at submit only while instrumentation is attached
+	enqueued time.Time // stamped at submit, for the queue-wait sample
 }
 
 // SchedStats is a point-in-time snapshot of scheduler counters. The
@@ -72,66 +72,44 @@ type Scheduler struct {
 	active    atomic.Int64 // jobs currently executing on a worker
 	queueHWM  atomic.Int64 // deepest observed queue length
 
-	// obs, when non-nil, routes queue-wait and handler timings into the
-	// observability layer. The disabled path costs one atomic load per
-	// dequeue and nothing per submit.
-	obs atomic.Pointer[schedObs]
-}
-
-// schedObs is the scheduler's instrumentation bundle: latency
-// histograms sharded by worker id and (when tracing) one timeline lane
-// per worker carrying queue-wait and handler X spans.
-type schedObs struct {
-	queueWait *obs.Histogram // submit -> dequeue
-	handler   *obs.Histogram // handler run time on the worker
-	lanes     []*obs.Lane    // per worker; nil when tracing is off
-	nWait     obs.Name
+	queueWait *obs.Histogram // submit -> dequeue, sharded by worker id
+	handler   *obs.Histogram // handler run time, sharded by worker id
+	nWait     obs.Name       // the workers' span names (zero without a trace)
 	nHandler  obs.Name
 }
 
-// instrument attaches metrics and (when trace is non-nil) trace
-// recording to the pool. Safe to call before any traffic; jobs already
-// queued keep their zero enqueued stamp and are recorded without a
-// queue-wait sample.
-func (s *Scheduler) instrument(reg *obs.Registry, trace *obs.Trace) {
-	o := &schedObs{
-		queueWait: reg.Histogram("labd_queue_wait_seconds",
-			"Time a job spent in the bounded queue before a worker dequeued it.", "", s.workers),
-		handler: reg.Histogram("labd_handler_duration_seconds",
-			"Time a worker spent running a job's handler.", "", s.workers),
-	}
-	if trace != nil {
-		o.nWait = trace.Name("queue-wait")
-		o.nHandler = trace.Name("handler")
-		o.lanes = make([]*obs.Lane, s.workers)
-		for i := range o.lanes {
-			o.lanes[i] = trace.Lane(fmt.Sprintf("worker %d", i))
-		}
-	}
-	s.obs.Store(o)
-}
-
 // NewScheduler starts `workers` goroutines behind a queue of depth
-// `depth`. Both must be >= 1.
-func NewScheduler(workers, depth int) *Scheduler {
-	if workers < 1 {
-		workers = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
+// `depth` (each raised to at least 1). Every job's queue wait and handler
+// time land in reg's labd_queue_wait_seconds and
+// labd_handler_duration_seconds histograms and, when trace is non-nil, as
+// queue-wait and handler X spans on its worker's "worker N" lane.
+func NewScheduler(workers, depth int, reg *obs.Registry, trace *obs.Trace) *Scheduler {
+	workers, depth = max(workers, 1), max(depth, 1)
 	s := &Scheduler{
 		queue:   make(chan *job, depth),
 		workers: workers,
+		queueWait: reg.Histogram("labd_queue_wait_seconds",
+			"Time a job spent in the bounded queue before a worker dequeued it.", "", workers),
+		handler: reg.Histogram("labd_handler_duration_seconds",
+			"Time a worker spent running a job's handler.", "", workers),
+	}
+	if trace != nil {
+		s.nWait, s.nHandler = trace.Name("queue-wait"), trace.Name("handler")
 	}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go s.worker(i)
+		var lane *obs.Lane
+		if trace != nil {
+			lane = trace.Lane(fmt.Sprintf("worker %d", i))
+		}
+		go s.worker(i, lane)
 	}
 	return s
 }
 
-func (s *Scheduler) worker(id int) {
+// worker runs jobs off the queue until Shutdown closes it, recording on
+// lane (nil without a trace).
+func (s *Scheduler) worker(id int, lane *obs.Lane) {
 	defer s.wg.Done()
 	for j := range s.queue {
 		// A job that timed out or whose client vanished while it sat in
@@ -142,36 +120,19 @@ func (s *Scheduler) worker(id int) {
 			s.skipped.Add(1)
 		default:
 			s.active.Add(1)
-			if o := s.obs.Load(); o != nil {
-				s.runObserved(o, id, j)
-			} else {
-				j.run(j.ctx)
-			}
+			// Record how long the job queued, then time the handler: each
+			// a histogram sample and, when tracing, a span on this lane.
+			t0 := time.Now()
+			s.queueWait.ObserveShard(id, int64(t0.Sub(j.enqueued)))
+			lane.Complete(s.nWait, j.enqueued)
+			j.run(j.ctx)
+			s.handler.ObserveShard(id, int64(time.Since(t0)))
+			lane.Complete(s.nHandler, t0)
 			s.active.Add(-1)
 			s.completed.Add(1)
 		}
 		close(j.done)
 	}
-}
-
-// runObserved is the instrumented dequeue: record how long the job
-// queued (submit stamped enqueued only under instrumentation, so a
-// zero stamp — a job queued before instrument — yields no sample),
-// then time the handler, each as a histogram sample and, when tracing,
-// an X span on this worker's lane.
-func (s *Scheduler) runObserved(o *schedObs, id int, j *job) {
-	var lane *obs.Lane
-	if o.lanes != nil {
-		lane = o.lanes[id]
-	}
-	if !j.enqueued.IsZero() {
-		o.queueWait.ObserveShard(id, int64(time.Since(j.enqueued)))
-		lane.Complete(o.nWait, j.enqueued)
-	}
-	t0 := time.Now()
-	j.run(j.ctx)
-	o.handler.ObserveShard(id, int64(time.Since(t0)))
-	lane.Complete(o.nHandler, t0)
 }
 
 // Submit enqueues fn and blocks until a worker has run it or ctx is done.
@@ -181,10 +142,7 @@ func (s *Scheduler) runObserved(o *schedObs, id int, j *job) {
 // gave up may still be skipped by a worker later; it is never run after
 // its context is done.
 func (s *Scheduler) Submit(ctx context.Context, fn func(ctx context.Context)) error {
-	j := &job{ctx: ctx, run: fn, done: make(chan struct{})}
-	if s.obs.Load() != nil {
-		j.enqueued = time.Now()
-	}
+	j := &job{ctx: ctx, run: fn, done: make(chan struct{}), enqueued: time.Now()}
 
 	// The read lock pins the queue open: Shutdown takes the write lock
 	// before closing the channel, so a send can never hit a closed queue.

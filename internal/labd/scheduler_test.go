@@ -7,10 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cs31/internal/obs"
 )
 
 func TestSchedulerRunsJobs(t *testing.T) {
-	s := NewScheduler(4, 8)
+	s := NewScheduler(4, 8, obs.NewRegistry(), nil)
 	defer s.Shutdown(context.Background())
 
 	var ran atomic.Int64
@@ -41,7 +43,7 @@ func TestSchedulerRunsJobs(t *testing.T) {
 }
 
 func TestSchedulerQueueFull(t *testing.T) {
-	s := NewScheduler(1, 1)
+	s := NewScheduler(1, 1, obs.NewRegistry(), nil)
 	defer s.Shutdown(context.Background())
 
 	// Wedge the single worker.
@@ -85,7 +87,7 @@ func TestSchedulerQueueFull(t *testing.T) {
 // in Active, a queued job ratchets the high-watermark, and both settle once
 // the work drains (Active back to 0, QueueHWM sticky).
 func TestSchedulerGauges(t *testing.T) {
-	s := NewScheduler(1, 2)
+	s := NewScheduler(1, 2, obs.NewRegistry(), nil)
 	defer s.Shutdown(context.Background())
 
 	if st := s.Stats(); st.Active != 0 || st.QueueHWM != 0 {
@@ -134,7 +136,7 @@ func TestSchedulerGauges(t *testing.T) {
 }
 
 func TestSchedulerSkipsExpiredJobs(t *testing.T) {
-	s := NewScheduler(1, 4)
+	s := NewScheduler(1, 4, obs.NewRegistry(), nil)
 	defer s.Shutdown(context.Background())
 
 	block := make(chan struct{})
@@ -166,7 +168,7 @@ func TestSchedulerSkipsExpiredJobs(t *testing.T) {
 }
 
 func TestSchedulerShutdownDrains(t *testing.T) {
-	s := NewScheduler(2, 16)
+	s := NewScheduler(2, 16, obs.NewRegistry(), nil)
 
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -212,7 +214,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 }
 
 func TestSchedulerShutdownIdempotent(t *testing.T) {
-	s := NewScheduler(1, 1)
+	s := NewScheduler(1, 1, obs.NewRegistry(), nil)
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -62,16 +62,16 @@ type Server struct {
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
+	o := newServerObs(&cfg)
 	s := &Server{
 		cfg:    cfg,
-		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
+		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth, o.reg, o.trace),
 		mux:    http.NewServeMux(),
 		caches: make(map[string]*memo.Cache),
-		obs:    newServerObs(&cfg),
+		obs:    o,
 	}
 	s.initCaches()
 	s.registerScrapeFuncs()
-	s.sched.instrument(s.obs.reg, s.obs.trace)
 	s.routes()
 	return s
 }

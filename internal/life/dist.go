@@ -2,7 +2,6 @@ package life
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"cs31/internal/msgpass"
@@ -10,27 +9,26 @@ import (
 	"cs31/internal/pthread"
 )
 
-// Message tags of the distributed runner's little protocol. tagUp/tagDown
-// name the direction the halo row travels, so the two rows a rank exchanges
-// with one neighbor (P = 2 under torus wrapping makes the up and down
-// neighbor the same rank) never cross-match.
+// Message tags of the halo exchange. They name the direction the halo row
+// travels, so the two rows a rank exchanges with one neighbor (P = 2 under
+// torus wrapping makes the up and down neighbor the same rank) never
+// cross-match.
 const (
-	distTagBlock = 0 // initial row-block distribution and final gather
-	distTagUp    = 1 // a rank's top owned row, sent to the neighbor above
-	distTagDown  = 2 // a rank's bottom owned row, sent to the neighbor below
+	distTagUp   = 1 // a rank's top owned row, sent to the neighbor above
+	distTagDown = 2 // a rank's bottom owned row, sent to the neighbor below
 )
 
 // DistRunner is the dist engine: it advances a grid with message-passing
 // ranks, the distributed-memory sibling of ParallelRunner. The grid is
 // row-block sharded across a msgpass world: each rank owns a contiguous
 // band of rows in a private local buffer, exchanges one-row halos with its
-// neighbors by Send/Recv each generation, and the per-rank live-update
-// counts meet in an Allreduce. No rank ever touches another rank's memory;
-// every byte that crosses a shard boundary is a message, and the world's
-// counters price exactly that traffic. Bands and halo rows travel as
-// packed []uint64 words, so a halo row costs ceil(cols/64)*8 bytes on the
-// wire (512 bytes at cols=4096), and each band advances through the SWAR
-// kernel.
+// neighbor ranks by Send/Recv each generation, and the per-rank
+// live-update counts meet in an Allreduce. No rank ever writes another
+// rank's memory; every byte that crosses a shard boundary is a message,
+// and the world's counters price exactly that traffic. Bands and halo rows
+// travel as packed []uint64 words, so a halo row costs ceil(cols/64)*8
+// bytes on the wire (512 bytes at cols=4096), and each band advances
+// through the SWAR kernel.
 //
 // Advance builds one for every caller in this module; the runner stays
 // exported, with the fields cs31bench sets, because the benchmark module
@@ -44,8 +42,9 @@ type DistRunner struct {
 	// Trace, if non-nil, records one timeline lane per rank: "generation"
 	// and "halo-exchange" spans from the runner, plus the world's own
 	// send/recv/collective events (the world is built with
-	// msgpass.WithTrace), so a run renders halo traffic, stragglers, and
-	// the closing allreduce in chrome://tracing or Perfetto.
+	// msgpass.WithTrace), so a run renders the scatter, halo traffic,
+	// stragglers, the closing allreduce and the gather in chrome://tracing
+	// or Perfetto.
 	Trace *obs.Trace
 
 	// CommStats holds the world's traffic counters after RunCtx returns,
@@ -56,23 +55,20 @@ type DistRunner struct {
 	watchdog time.Duration  // Engine.Watchdog
 }
 
-// distNeighbors returns the ranks above and below a rank (-1 marks a
-// non-torus boundary whose halo is synthesized locally).
+// distNeighbors returns the ranks above and below a rank, or -1 where no
+// other rank borders it: at a non-torus boundary, and on both sides of a
+// one-rank torus. The kernel synthesizes the ghost row of such an edge
+// from the rank's own buffer, exactly as it does on the full grid.
 func distNeighbors(rank, ranks int, mode EdgeMode) (up, down int) {
-	up, down = rank-1, rank+1
-	if rank == 0 {
-		up = -1
-		if mode == Torus {
-			up = ranks - 1
-		}
+	switch {
+	case ranks == 1:
+		return -1, -1
+	case mode == Torus:
+		return (rank + ranks - 1) % ranks, (rank + 1) % ranks
+	case rank == ranks-1:
+		return rank - 1, -1
 	}
-	if rank == ranks-1 {
-		down = -1
-		if mode == Torus {
-			down = 0
-		}
-	}
-	return up, down
+	return rank - 1, rank + 1
 }
 
 // traceHandles resolves a rank's lane and the runner's span names —
@@ -92,17 +88,15 @@ func (dr *DistRunner) traceHandles(c *msgpass.Comm) (lane *obs.Lane, nGen, nHalo
 // engines, bit-for-bit equal to the serial engine's on the same board,
 // plus the world's traffic counters in RunStats.Comm.
 //
-// Protocol per rank: receive your row block from rank 0 (tagBlock), then
-// each generation send your top/bottom owned rows to your neighbors
-// (tagUp/tagDown), receive theirs into your halo rows, and advance your
-// band with the SWAR kernel; after the last generation, Allreduce the
-// live-update counts and send your block back to rank 0. Neighbor
-// relationships wrap into a ring under Torus and fall off the ends
-// otherwise: a DeadEdges boundary halo stays all-dead, an AliveEdges one is
-// pinned all-live, and a MirrorEdges one is refreshed each generation with
-// the rank's own edge row (the reflection). A rank that is its own
-// neighbor (a single-rank torus) copies its edge rows locally instead of
-// messaging itself.
+// Protocol per rank: Scatter hands each rank its row block from rank 0;
+// each generation a rank sends its top/bottom owned rows to its neighbor
+// ranks (tagUp/tagDown), receives theirs into its halo rows, and advances
+// its band with the SWAR kernel; after the last generation the ranks
+// Allreduce the live-update counts and Gather the bands on rank 0.
+// Neighbor ranks wrap into a ring under Torus and fall off the ends
+// otherwise. A rank keeps a halo row only toward a neighbor rank: every
+// other edge (a non-torus boundary, or both sides of a one-rank torus) is
+// the kernel's ghost row for the grid's edge mode, as on the full grid.
 //
 // When ctx is canceled mid-run the world aborts, every rank (including
 // ones parked in halo receives or chaos sleeps) unwinds promptly, all rank
@@ -165,119 +159,78 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 // runRank is one rank of the protocol in a world of ranks ranks.
 func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) error {
 	g := dr.G
-	rows, cols, mode, wpr := g.Rows, g.Cols, g.Mode, g.wpr
+	wpr := g.wpr
 	lane, nGen, nHalo := dr.traceHandles(c)
 	rank := c.Rank()
-	lo, hi := pthread.BlockRange(rank, ranks, rows)
-	band := hi - lo
+	up, down := distNeighbors(rank, ranks, g.Mode)
 
-	// Local shard: band rows plus one halo row above and below. Halo
-	// rows are index 0 and band+1; owned rows are 1..band. Both parity
-	// buffers start zeroed, which is exactly the all-dead halo DeadEdges
-	// boundary ranks need forever (the kernel never writes halo rows).
-	src := make([]uint64, (band+2)*wpr)
-	dst := make([]uint64, (band+2)*wpr)
-	zero := make([]uint64, wpr)
-	one := liveRow(cols)
-
-	// Distribute: rank 0 owns the grid and mails every other rank its
-	// band; its own band is a local copy.
+	// Distribute: rank 0 scatters every rank's band of the grid, which no
+	// rank writes during the run, as a view; its own band never leaves it.
+	var bands [][]uint64
 	if rank == 0 {
-		for r := 1; r < ranks; r++ {
-			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block := append([]uint64(nil), g.cells[rlo*wpr:rhi*wpr]...)
-			if err := msgpass.Send(c, r, distTagBlock, block); err != nil {
-				return err
-			}
+		bands = make([][]uint64, ranks)
+		for r := range bands {
+			lo, hi := pthread.BlockRange(r, ranks, g.Rows)
+			bands[r] = g.cells[lo*wpr : hi*wpr]
 		}
-		copy(src[wpr:(band+1)*wpr], g.cells[lo*wpr:hi*wpr])
-	} else {
-		block, err := msgpass.Recv[[]uint64](c, 0, distTagBlock)
-		if err != nil {
-			return err
-		}
-		if len(block) != band*wpr {
-			return fmt.Errorf("rank %d: block of %d words, want %d", rank, len(block), band*wpr)
-		}
-		copy(src[wpr:(band+1)*wpr], block)
+	}
+	block, err := msgpass.Scatter(c, 0, bands)
+	if err != nil {
+		return err
 	}
 
-	up, down := distNeighbors(rank, ranks, mode)
-	// An AliveEdges boundary halo is pinned all-live in both parity buffers
-	// once: the kernel never writes halo rows and no message targets them.
-	if mode == AliveEdges {
-		if up < 0 {
-			copy(src[:wpr], one)
-			copy(dst[:wpr], one)
-		}
-		if down < 0 {
-			copy(src[(band+1)*wpr:], one)
-			copy(dst[(band+1)*wpr:], one)
-		}
+	// Local shard: a halo row above the band if a rank borders it there,
+	// the band's owned rows [top, top+band), and a halo row below if a rank
+	// borders it there. Halo rows are written only from received messages.
+	band, top := len(block)/wpr, 0
+	if up >= 0 {
+		top = 1
 	}
+	rows := top + band
+	if down >= 0 {
+		rows++
+	}
+	src := make([]uint64, rows*wpr)
+	dst := make([]uint64, rows*wpr)
+	copy(src[top*wpr:], block)
+	first, last := top*wpr, (top+band-1)*wpr // owned edge rows' offsets
 
 	var updates int64
 	for gen := 0; gen < n; gen++ {
 		lane.Begin(nGen)
 		lane.Begin(nHalo)
-		top := src[wpr : 2*wpr]                     // first owned row
-		bot := src[band*wpr : (band+1)*wpr]         // last owned row
-		haloTop := src[:wpr]                        // row lo-1's image
-		haloBot := src[(band+1)*wpr : (band+2)*wpr] // row hi's image
-		if up == rank {                             // single-rank torus: both neighbors are us
-			copy(haloTop, bot)
-			copy(haloBot, top)
-		} else {
-			// Post both sends before either receive: with the inbox depth
-			// bounded in RunCtx the symmetric exchange cannot deadlock, and
-			// the payloads are copies, so a neighbor may apply them
-			// whenever it gets around to its own exchange. Then fill the
-			// halos — the neighbor above's bottom row arrives as tagDown,
-			// the one below's top row as tagUp.
-			if up >= 0 {
-				if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), top...)); err != nil {
-					return err
-				}
-			}
-			if down >= 0 {
-				if err := msgpass.Send(c, down, distTagDown, append([]uint64(nil), bot...)); err != nil {
-					return err
-				}
-			}
-			if up >= 0 {
-				row, err := msgpass.Recv[[]uint64](c, up, distTagDown)
-				if err != nil {
-					return err
-				}
-				copy(haloTop, row)
-			}
-			if down >= 0 {
-				row, err := msgpass.Recv[[]uint64](c, down, distTagUp)
-				if err != nil {
-					return err
-				}
-				copy(haloBot, row)
+		// Post both sends before either receive: with the inbox depth
+		// bounded in RunCtx the symmetric exchange cannot deadlock, and the
+		// payloads are copies, so a neighbor may apply them whenever it
+		// gets around to its own exchange. Then fill the halos: the
+		// neighbor above's bottom row arrives as tagDown, the one below's
+		// top row as tagUp.
+		if up >= 0 {
+			if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), src[first:first+wpr]...)); err != nil {
+				return err
 			}
 		}
-		// A MirrorEdges boundary reflects the rank's own edge row into the
-		// halo; the reflection changes every generation, so refresh it on
-		// the current source parity.
-		if mode == MirrorEdges {
-			if up < 0 {
-				copy(haloTop, top)
+		if down >= 0 {
+			if err := msgpass.Send(c, down, distTagDown, append([]uint64(nil), src[last:last+wpr]...)); err != nil {
+				return err
 			}
-			if down < 0 {
-				copy(haloBot, bot)
+		}
+		if up >= 0 {
+			row, err := msgpass.Recv[[]uint64](c, up, distTagDown)
+			if err != nil {
+				return err
 			}
+			copy(src[:wpr], row)
+		}
+		if down >= 0 {
+			row, err := msgpass.Recv[[]uint64](c, down, distTagUp)
+			if err != nil {
+				return err
+			}
+			copy(src[last+wpr:], row)
 		}
 		lane.End(nHalo)
-		// The kernel over owned rows only. The local buffer is band+2 rows
-		// tall and the range [1, band+1) never reaches rows 0 or band+1 as
-		// a *computed* row, so packedRowIn never synthesizes a ghost — all
-		// vertical neighbor data comes from the exchanged or locally
-		// synthesized halos, while column edge behavior (mode) works
-		// exactly as on the full grid.
-		updates += stepPackedSlices(src, dst, zero, one, band+2, cols, wpr, mode, 1, band+1, 0, wpr)
+		updates += stepPackedSlices(src, dst, g.zeroRow, g.oneRow, rows, g.Cols, wpr, g.Mode, top, top+band, 0, wpr)
 		lane.End(nGen)
 		src, dst = dst, src
 	}
@@ -289,27 +242,18 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 		return err
 	}
 
-	// Collect: everyone mails the final band home; rank 0 assembles the
-	// next generation buffer (promoted to current after the world joins).
-	if rank == 0 {
-		copy(g.next[lo*wpr:hi*wpr], src[wpr:(band+1)*wpr])
-		for r := 1; r < ranks; r++ {
-			rlo, rhi := pthread.BlockRange(r, ranks, rows)
-			block, err := msgpass.Recv[[]uint64](c, r, distTagBlock)
-			if err != nil {
-				return err
-			}
-			if len(block) != (rhi-rlo)*wpr {
-				return fmt.Errorf("rank 0: block from %d has %d words, want %d", r, len(block), (rhi-rlo)*wpr)
-			}
-			copy(g.next[rlo*wpr:rhi*wpr], block)
-		}
-		stats.LiveUpdates = total
-		stats.Rounds = n
-	} else {
-		if err := msgpass.Send(c, 0, distTagBlock, append([]uint64(nil), src[wpr:(band+1)*wpr]...)); err != nil {
-			return err
-		}
+	// Collect: every rank gathers its final band, which it writes no more,
+	// as a view; rank 0 lays the bands end to end in the next generation
+	// buffer (promoted to current after the world joins).
+	bands, err = msgpass.Gather(c, 0, src[first:last+wpr])
+	if err != nil || rank != 0 {
+		return err
 	}
+	off := 0
+	for _, b := range bands {
+		off += copy(g.next[off:], b)
+	}
+	stats.LiveUpdates = total
+	stats.Rounds = n
 	return nil
 }

@@ -109,10 +109,12 @@ func TestDistSurplusRanks(t *testing.T) {
 	}
 }
 
-// TestDistCommStats sanity-checks the exposed traffic counters: a 4-rank
-// torus run must move exactly 2 halo rows per rank per generation plus the
-// distribution/collection blocks and the stats Allreduce. A 10-column row
-// is one 8-byte word on the wire.
+// TestDistCommStats pins the protocol's traffic exactly on a 4-rank torus
+// whose ranks divide the rows (4 rows each). The Scatter and the Gather
+// each move P-1 blocks, every rank sends 2 halo rows per generation, and
+// the Allreduce's reduce and broadcast phases each send P-1 8-byte
+// counts. A 10-column row is one 8-byte word on the wire. Every rank
+// enters 3 collectives: Scatter, Allreduce and Gather.
 func TestDistCommStats(t *testing.T) {
 	g, err := NewGrid(16, 10, Torus)
 	if err != nil {
@@ -128,22 +130,17 @@ func TestDistCommStats(t *testing.T) {
 	if len(ws.PerRank) != ranks {
 		t.Fatalf("stats for %d ranks, want %d", len(ws.PerRank), ranks)
 	}
-	// Halo traffic: ranks * 2 rows * gens * rowBytes. Block traffic:
-	// 2*(ranks-1) messages of 4 rows. Allreduce adds messages but only
-	// 8-byte payloads.
-	const rowBytes = 8
-	haloBytes := int64(ranks * 2 * gens * rowBytes)
-	blockBytes := int64(2 * (ranks - 1) * 4 * rowBytes)
-	wantMin := haloBytes + blockBytes
-	if ws.BytesSent < wantMin {
-		t.Errorf("world sent %d bytes, want >= %d", ws.BytesSent, wantMin)
-	}
-	if ws.BytesSent > wantMin+int64(ranks*64) {
-		t.Errorf("world sent %d bytes, want close to %d (allreduce overhead only)", ws.BytesSent, wantMin)
+	const rowBytes, bandRows = 8, 16 / ranks
+	wantSends := int64(2*(ranks-1) + 2*ranks*gens + 2*(ranks-1))
+	blockBytes := int64(2 * (ranks - 1) * bandRows * rowBytes)
+	haloBytes := int64(2 * ranks * gens * rowBytes)
+	wantBytes := blockBytes + haloBytes + 16*(ranks-1)
+	if ws.Sends != wantSends || ws.BytesSent != wantBytes {
+		t.Errorf("world sent %d messages and %d bytes, want %d and %d", ws.Sends, ws.BytesSent, wantSends, wantBytes)
 	}
 	for _, s := range ws.PerRank {
-		if s.Collectives != 1 {
-			t.Errorf("rank %d collectives %d, want 1 (the stats allreduce)", s.Rank, s.Collectives)
+		if s.Collectives != 3 {
+			t.Errorf("rank %d collectives %d, want 3 (scatter, allreduce, gather)", s.Rank, s.Collectives)
 		}
 	}
 }

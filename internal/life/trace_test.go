@@ -95,8 +95,9 @@ func TestParallelRunnerTrace(t *testing.T) {
 
 // TestDistRunnerTrace checks the distributed timeline: one lane per
 // rank, the runner's generation/halo-exchange nesting golden-matched
-// in program order, and the world's own send/recv/allreduce events
-// present on every rank's lane.
+// in program order, the world's own send/recv/allreduce events present
+// on every rank's lane, and the protocol's collectives (scatter,
+// allreduce, gather) in program order.
 func TestDistRunnerTrace(t *testing.T) {
 	const ranks, gens = 2, 2
 	g, err := NewGrid(12, 12, Torus)
@@ -155,6 +156,9 @@ func TestDistRunnerTrace(t *testing.T) {
 				t.Fatalf("lane %q missing %q (events: %v)", label, needed, seq)
 			}
 		}
+		// The protocol's collectives, in program order on every rank.
+		seqEqual(t, label+" collectives", filterSeq(seq, "scatter", "allreduce", "gather"),
+			[]string{"scatter/B", "scatter/E", "allreduce/B", "allreduce/E", "gather/B", "gather/E"})
 	}
 	if len(sum.PerLane) != ranks {
 		t.Fatalf("trace has %d lanes, want %d", len(sum.PerLane), ranks)

@@ -58,6 +58,13 @@ func (c *Comm) childrenOf(v, root int) []int {
 	return kids
 }
 
+// recvColl receives one collective message from source under the
+// collective's tag, with Recv's typed check.
+func recvColl[T any](c *Comm, source, tag int) (T, error) {
+	v, err := c.recvWait(source, tag, nil, 0)
+	return typedPayload[T](c, source, tag, v, err)
+}
+
 func (c *Comm) checkRoot(op string, root int) error {
 	if root < 0 || root >= c.world.size {
 		return fmt.Errorf("msgpass: rank %d %s: root %d outside world of %d", c.rank, op, root, c.world.size)
@@ -114,15 +121,10 @@ func bcast[T any](c *Comm, root, tag int, v T) (T, error) {
 	var zero T
 	vr := c.vrank(root)
 	if p := c.parentOf(vr, root); p >= 0 {
-		got, err := c.recvWait(p, tag, nil, 0)
-		if err != nil {
+		var err error
+		if v, err = recvColl[T](c, p, tag); err != nil {
 			return zero, err
 		}
-		tv, ok := got.(T)
-		if !ok {
-			return zero, fmt.Errorf("msgpass: rank %d bcast: payload is %T, want %T", c.rank, got, zero)
-		}
-		v = tv
 	}
 	for _, k := range c.childrenOf(vr, root) {
 		if err := c.send(k, tag, v); err != nil {
@@ -156,15 +158,11 @@ func reduce[T any](c *Comm, root, tag int, v T, op func(a, b T) T) (T, error) {
 	vr := c.vrank(root)
 	acc := v
 	for _, k := range c.childrenOf(vr, root) {
-		got, err := c.recvWait(k, tag, nil, 0)
+		got, err := recvColl[T](c, k, tag)
 		if err != nil {
 			return zero, err
 		}
-		tv, ok := got.(T)
-		if !ok {
-			return zero, fmt.Errorf("msgpass: rank %d reduce: payload is %T, want %T", c.rank, got, zero)
-		}
-		acc = op(acc, tv)
+		acc = op(acc, got)
 	}
 	if p := c.parentOf(vr, root); p >= 0 {
 		if err := c.send(p, tag, acc); err != nil {
@@ -209,15 +207,7 @@ func Scatter[T any](c *Comm, root int, values []T) (T, error) {
 	defer c.lane.End(c.world.tn.scatter)
 	tag := c.collTag()
 	if c.rank != root {
-		got, err := c.recvWait(root, tag, nil, 0)
-		if err != nil {
-			return zero, err
-		}
-		tv, ok := got.(T)
-		if !ok {
-			return zero, fmt.Errorf("msgpass: rank %d scatter: payload is %T, want %T", c.rank, got, zero)
-		}
-		return tv, nil
+		return recvColl[T](c, root, tag)
 	}
 	if len(values) != c.world.size {
 		return zero, fmt.Errorf("msgpass: scatter root %d: %d values for world of %d", root, len(values), c.world.size)
@@ -254,15 +244,10 @@ func Gather[T any](c *Comm, root int, v T) ([]T, error) {
 		if r == root {
 			continue
 		}
-		got, err := c.recvWait(r, tag, nil, 0)
-		if err != nil {
+		var err error
+		if out[r], err = recvColl[T](c, r, tag); err != nil {
 			return nil, err
 		}
-		tv, ok := got.(T)
-		if !ok {
-			return nil, fmt.Errorf("msgpass: rank %d gather: payload from %d is %T, want %T", c.rank, r, got, tv)
-		}
-		out[r] = tv
 	}
 	return out, nil
 }

@@ -1,9 +1,12 @@
 package msgpass
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // worldSizes covers the tree's interesting shapes: single rank, under one
@@ -266,6 +269,50 @@ func TestCollectiveValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectiveTypeMismatch: ranks that disagree on a collective's
+// payload type get Recv's typed error, on the receiving side of the
+// mismatch, instead of a hang: the broadcast's leaves receive the root's
+// int where they want a string, and the gather's root receives the
+// leaves' ints. The deadline turns a hang into a failure.
+func TestCollectiveTypeMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rank func(c *Comm) error
+	}{
+		{"bcast", func(c *Comm) error {
+			var err error
+			if c.Rank() == 0 {
+				_, err = Bcast(c, 0, 7)
+			} else {
+				_, err = Bcast(c, 0, "")
+			}
+			return err
+		}},
+		{"gather", func(c *Comm) error {
+			var err error
+			if c.Rank() == 0 {
+				_, err = Gather(c, 0, "")
+			} else {
+				_, err = Gather(c, 0, 7)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWorld(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			err = w.RunCtx(ctx, tc.rank)
+			if err == nil || !strings.Contains(err.Error(), "payload is int, want string") {
+				t.Fatalf("world returned %v, want a \"payload is int, want string\" error", err)
+			}
+		})
 	}
 }
 
