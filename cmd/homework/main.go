@@ -20,7 +20,7 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "homework:", err)
+		fmt.Fprintln(os.Stderr, err) // homework.Generate's errors carry the "homework:" prefix
 		os.Exit(1)
 	}
 }

@@ -56,14 +56,20 @@ func Topics() []string {
 	}
 }
 
+// MaxProblems is the most problems one Generate call produces: a week's
+// homework many times over. The bound comes before the result slice is
+// reserved, so no n asks for more memory than MaxProblems problems take.
+const MaxProblems = 100
+
 // Generate produces n problems for the topic, deterministically per seed.
+// n must be in [1, MaxProblems].
 func Generate(topic string, seed int64, n int) ([]Problem, error) {
 	gen, ok := Generators[topic]
 	if !ok {
 		return nil, fmt.Errorf("homework: unknown topic %q (have %v)", topic, Topics())
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("homework: need at least one problem")
+	if n < 1 || n > MaxProblems {
+		return nil, fmt.Errorf("homework: %d problems out of range [1,%d]", n, MaxProblems)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Problem, 0, n)

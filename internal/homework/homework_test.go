@@ -64,6 +64,17 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate("processes", 1, 0); err == nil {
 		t.Error("zero problems should fail")
 	}
+	// n past MaxProblems is refused before anything is reserved for it:
+	// a slice of 1<<60 problems cannot be made, and 1e8 would reserve
+	// about 4.8 GB before the first problem is drawn.
+	for _, n := range []int{MaxProblems + 1, 100_000_000, 1 << 60} {
+		if probs, err := Generate("cache-division", 1, n); err == nil {
+			t.Errorf("n = %d accepted (%d problems)", n, len(probs))
+		}
+	}
+	if probs, err := Generate("cache-division", 1, MaxProblems); err != nil || len(probs) != MaxProblems {
+		t.Errorf("n = MaxProblems: %d problems, err %v", len(probs), err)
+	}
 }
 
 // The arithmetic answer key must agree with an independent recomputation.

@@ -51,7 +51,7 @@ const (
 	maxTableRows   = 1 << 12 // cache table_n: all of the default 64x64 workload
 	maxLifeIters   = 10_000
 	maxLifeThreads = 64
-	maxProblems    = 100
+	maxProblems    = homework.MaxProblems
 	maxStudents    = 10_000
 )
 

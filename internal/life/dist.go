@@ -9,26 +9,44 @@ import (
 	"cs31/internal/pthread"
 )
 
-// Message tags of the halo exchange. They name the direction the halo row
-// travels, so the two rows a rank exchanges with one neighbor (P = 2 under
-// torus wrapping makes the up and down neighbor the same rank) never
+// Message tags of the halo exchange. They name the direction a halo block
+// travels, so the two blocks a rank exchanges with one neighbor (P = 2
+// under torus wrapping makes the up and down neighbor the same rank) never
 // cross-match.
 const (
-	distTagUp   = 1 // a rank's top owned row, sent to the neighbor above
-	distTagDown = 2 // a rank's bottom owned row, sent to the neighbor below
+	distTagUp   = 1 // a rank's top owned rows, sent to the neighbor above
+	distTagDown = 2 // a rank's bottom owned rows, sent to the neighbor below
 )
+
+// maxGhostWords bounds the redundant work of a deep halo: the words of
+// ghost rows a rank recomputes per generation on each neighbor side, one
+// 4096-column row.
+const maxGhostWords = 64
+
+// haloDepth returns k, the depth of the next exchange window: each rank
+// sends its k edge rows to each neighbor rank and then advances k
+// generations with no further message. k is at most the generations left;
+// at most the smallest band, rows/ranks, because a neighbor can only send
+// rows it owns; and at most 1 + maxGhostWords/wpr, because a window
+// recomputes k-1 ghost rows of wpr words per neighbor side that the
+// neighbor computes too. Past 64 words a row (4096 columns) k is 1, one
+// row every generation. Every rank computes the same k from values it
+// already holds.
+func haloDepth(left, rows, ranks, wpr int) int {
+	return min(left, rows/ranks, 1+maxGhostWords/wpr)
+}
 
 // DistRunner is the dist engine: it advances a grid with message-passing
 // ranks, the distributed-memory sibling of ParallelRunner. The grid is
 // row-block sharded across a msgpass world: each rank owns a contiguous
-// band of rows in a private local buffer, exchanges one-row halos with its
-// neighbor ranks by Send/Recv each generation, and the per-rank
-// live-update counts meet in an Allreduce. No rank ever writes another
-// rank's memory; every byte that crosses a shard boundary is a message,
-// and the world's counters price exactly that traffic. Bands and halo rows
-// travel as packed []uint64 words, so a halo row costs ceil(cols/64)*8
-// bytes on the wire (512 bytes at cols=4096), and each band advances
-// through the SWAR kernel.
+// band of rows in a private local buffer, exchanges k-row halo blocks with
+// its neighbor ranks by Send/Recv once every k generations (haloDepth
+// picks k), and the per-rank live-update counts meet in an Allreduce. No
+// rank ever writes another rank's memory; every byte that crosses a shard
+// boundary is a message, and the world's counters price exactly that
+// traffic. Bands and halo blocks travel as packed []uint64 words, so a
+// halo row costs ceil(cols/64)*8 bytes on the wire (512 bytes at
+// cols=4096), and each band advances through the SWAR kernel.
 //
 // Advance builds one for every caller in this module; the runner stays
 // exported, with the fields cs31bench sets, because the benchmark module
@@ -89,14 +107,20 @@ func (dr *DistRunner) traceHandles(c *msgpass.Comm) (lane *obs.Lane, nGen, nHalo
 // plus the world's traffic counters in RunStats.Comm.
 //
 // Protocol per rank: Scatter hands each rank its row block from rank 0;
-// each generation a rank sends its top/bottom owned rows to its neighbor
-// ranks (tagUp/tagDown), receives theirs into its halo rows, and advances
-// its band with the SWAR kernel; after the last generation the ranks
-// Allreduce the live-update counts and Gather the bands on rank 0.
-// Neighbor ranks wrap into a ring under Torus and fall off the ends
-// otherwise. A rank keeps a halo row only toward a neighbor rank: every
-// other edge (a non-torus boundary, or both sides of a one-rank torus) is
-// the kernel's ghost row for the grid's edge mode, as on the full grid.
+// the generations run in windows of k = haloDepth generations. A window
+// opens with one exchange: a rank sends its top/bottom k owned rows to its
+// neighbor ranks (tagUp/tagDown) and receives theirs into its halo rows.
+// It then advances k generations with no message, each over its band plus
+// the ghost rows the next generation still needs: in generation j of the
+// window, k-1-j rows on each neighbor side, which the neighbor owns and
+// advances too. After the last window the ranks Allreduce the live-update
+// counts of their owned rows and Gather the bands on rank 0. k rows every
+// k generations is the same number of halo rows as one a generation, so
+// the halo bytes do not change; the messages do. Neighbor ranks wrap into
+// a ring under Torus and fall off the ends otherwise. A rank keeps halo
+// rows only toward a neighbor rank: every other edge (a non-torus
+// boundary, or both sides of a one-rank torus) is the kernel's ghost row
+// for the grid's edge mode, as on the full grid.
 //
 // When ctx is canceled mid-run the world aborts, every rank (including
 // ones parked in halo receives or chaos sleeps) unwinds promptly, all rank
@@ -117,11 +141,12 @@ func (dr *DistRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) {
 	// The halo exchange posts both sends before either receive, so it is
 	// deadlock-free only while no halo Send finds its destination's inbox
 	// full. A rank drains its inbox only inside Recv, and while it is still
-	// exchanging halos its inbox holds at most 8 messages: two generations
-	// of halo rows from each of its two neighbors (a neighbor cannot get a
-	// third generation ahead without this rank's halo), plus one reduce
-	// message from each of up to four collective-tree children that have
-	// already reached the closing Allreduce.
+	// exchanging halos its inbox holds at most 8 messages: two exchanges'
+	// blocks from each neighbor side (a neighbor cannot open a third
+	// window without this rank's blocks), plus one reduce message from
+	// each of up to four collective-tree children that have already
+	// reached the closing Allreduce. The world's InboxHWM reports the
+	// depth a run reached.
 	var opts []msgpass.Option
 	if dr.chaos != nil {
 		opts = append(opts, msgpass.WithChaos(*dr.chaos))
@@ -179,60 +204,60 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 		return err
 	}
 
-	// Local shard: a halo row above the band if a rank borders it there,
-	// the band's owned rows [top, top+band), and a halo row below if a rank
-	// borders it there. Halo rows are written only from received messages.
+	// Local shard: the first window's depth of halo rows above the band if
+	// a rank borders it there, the band's owned rows [top, end), and as
+	// many halo rows below if a rank borders it there. No later window is
+	// deeper. Halo rows hold received rows and the ghost rows advanced
+	// from them, never owned ones.
+	depth := haloDepth(n, g.Rows, ranks, wpr)
 	band, top := len(block)/wpr, 0
 	if up >= 0 {
-		top = 1
+		top = depth
 	}
-	rows := top + band
+	end := top + band
+	rows := end
 	if down >= 0 {
-		rows++
+		rows += depth
 	}
 	src := make([]uint64, rows*wpr)
 	dst := make([]uint64, rows*wpr)
 	copy(src[top*wpr:], block)
-	first, last := top*wpr, (top+band-1)*wpr // owned edge rows' offsets
+	step := func(lo, hi int) int64 {
+		return stepPackedSlices(src, dst, g.zeroRow, g.oneRow, rows, g.Cols, wpr, g.Mode, lo, hi, 0, wpr)
+	}
 
 	var updates int64
-	for gen := 0; gen < n; gen++ {
-		lane.Begin(nGen)
-		lane.Begin(nHalo)
-		// Post both sends before either receive: with the inbox depth
-		// bounded in RunCtx the symmetric exchange cannot deadlock, and the
-		// payloads are copies, so a neighbor may apply them whenever it
-		// gets around to its own exchange. Then fill the halos: the
-		// neighbor above's bottom row arrives as tagDown, the one below's
-		// top row as tagUp.
-		if up >= 0 {
-			if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), src[first:first+wpr]...)); err != nil {
-				return err
+	for left := n; left > 0; {
+		k := haloDepth(left, g.Rows, ranks, wpr)
+		for j := 0; j < k; j++ {
+			lane.Begin(nGen)
+			if j == 0 {
+				lane.Begin(nHalo)
+				err := exchangeHalos(c, src, up, down, top, end, k, wpr)
+				lane.End(nHalo)
+				if err != nil {
+					return err
+				}
 			}
-		}
-		if down >= 0 {
-			if err := msgpass.Send(c, down, distTagDown, append([]uint64(nil), src[last:last+wpr]...)); err != nil {
-				return err
+			// Advance the band and, on each neighbor side, the k-1-j
+			// ghost rows the window's remaining generations read: its last
+			// generation reads one row past the band, each earlier one a
+			// row further. Only owned rows count toward the live updates;
+			// the neighbor counts its own.
+			lo, hi := top, end
+			if up >= 0 {
+				lo -= k - 1 - j
 			}
-		}
-		if up >= 0 {
-			row, err := msgpass.Recv[[]uint64](c, up, distTagDown)
-			if err != nil {
-				return err
+			if down >= 0 {
+				hi += k - 1 - j
 			}
-			copy(src[:wpr], row)
+			step(lo, top)
+			updates += step(top, end)
+			step(end, hi)
+			lane.End(nGen)
+			src, dst = dst, src
 		}
-		if down >= 0 {
-			row, err := msgpass.Recv[[]uint64](c, down, distTagUp)
-			if err != nil {
-				return err
-			}
-			copy(src[last+wpr:], row)
-		}
-		lane.End(nHalo)
-		updates += stepPackedSlices(src, dst, g.zeroRow, g.oneRow, rows, g.Cols, wpr, g.Mode, top, top+band, 0, wpr)
-		lane.End(nGen)
-		src, dst = dst, src
+		left -= k
 	}
 
 	// Stats meet in an Allreduce: every rank learns the global total,
@@ -245,7 +270,7 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 	// Collect: every rank gathers its final band, which it writes no more,
 	// as a view; rank 0 lays the bands end to end in the next generation
 	// buffer (promoted to current after the world joins).
-	bands, err = msgpass.Gather(c, 0, src[first:last+wpr])
+	bands, err = msgpass.Gather(c, 0, src[top*wpr:end*wpr])
 	if err != nil || rank != 0 {
 		return err
 	}
@@ -255,5 +280,41 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 	}
 	stats.LiveUpdates = total
 	stats.Rounds = n
+	return nil
+}
+
+// exchangeHalos opens a window of depth k: it sends the band's top k owned
+// rows (from row top) to the neighbor above and its bottom k (ending at
+// row end) to the one below, and fills the k halo rows on each side of the
+// band from theirs. Both sends are posted before either receive: with the
+// inbox depth bounded in RunCtx the symmetric exchange cannot deadlock,
+// and the payloads are copies, so a neighbor may apply them whenever it
+// gets around to its own exchange. The neighbor above's bottom rows arrive
+// as tagDown, the one below's top rows as tagUp.
+func exchangeHalos(c *msgpass.Comm, buf []uint64, up, down, top, end, k, wpr int) error {
+	if up >= 0 {
+		if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), buf[top*wpr:(top+k)*wpr]...)); err != nil {
+			return err
+		}
+	}
+	if down >= 0 {
+		if err := msgpass.Send(c, down, distTagDown, append([]uint64(nil), buf[(end-k)*wpr:end*wpr]...)); err != nil {
+			return err
+		}
+	}
+	if up >= 0 {
+		rows, err := msgpass.Recv[[]uint64](c, up, distTagDown)
+		if err != nil {
+			return err
+		}
+		copy(buf[(top-k)*wpr:top*wpr], rows)
+	}
+	if down >= 0 {
+		rows, err := msgpass.Recv[[]uint64](c, down, distTagUp)
+		if err != nil {
+			return err
+		}
+		copy(buf[end*wpr:(end+k)*wpr], rows)
+	}
 	return nil
 }

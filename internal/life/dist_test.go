@@ -109,39 +109,53 @@ func TestDistSurplusRanks(t *testing.T) {
 	}
 }
 
-// TestDistCommStats pins the protocol's traffic exactly on a 4-rank torus
+// TestDistCommStats pins the protocol's traffic exactly on 4-rank tori
 // whose ranks divide the rows (4 rows each). The Scatter and the Gather
-// each move P-1 blocks, every rank sends 2 halo rows per generation, and
-// the Allreduce's reduce and broadcast phases each send P-1 8-byte
-// counts. A 10-column row is one 8-byte word on the wire. Every rank
+// each move P-1 blocks, every rank sends 2 halo blocks per window, and the
+// Allreduce's reduce and broadcast phases each send P-1 8-byte counts.
+// Windows carry k rows each and sum to the generations, so the halo bytes
+// are 2 rows per rank and generation whatever the windows. The windows
+// are written out, not derived, so a change to the depth rule shows here:
+// 3 generations fit one window of 4-row bands; 10 need three (4+4+2); and
+// at 2100 columns, 33 words a row, the width term holds k to 2. Every rank
 // enters 3 collectives: Scatter, Allreduce and Gather.
 func TestDistCommStats(t *testing.T) {
-	g, err := NewGrid(16, 10, Torus)
-	if err != nil {
-		t.Fatal(err)
+	const rows, ranks = 16, 4
+	cases := []struct{ cols, gens, windows int }{
+		{cols: 10, gens: 3, windows: 1}, // 20 messages, 432 bytes
+		{cols: 10, gens: 10, windows: 3},
+		{cols: 2100, gens: 3, windows: 2},
 	}
-	g.Randomize(5, 0.3)
-	const gens, ranks = 3, 4
-	dr := &DistRunner{G: g, Ranks: ranks}
-	if _, err := dr.RunCtx(context.Background(), gens); err != nil {
-		t.Fatal(err)
-	}
-	ws := dr.CommStats
-	if len(ws.PerRank) != ranks {
-		t.Fatalf("stats for %d ranks, want %d", len(ws.PerRank), ranks)
-	}
-	const rowBytes, bandRows = 8, 16 / ranks
-	wantSends := int64(2*(ranks-1) + 2*ranks*gens + 2*(ranks-1))
-	blockBytes := int64(2 * (ranks - 1) * bandRows * rowBytes)
-	haloBytes := int64(2 * ranks * gens * rowBytes)
-	wantBytes := blockBytes + haloBytes + 16*(ranks-1)
-	if ws.Sends != wantSends || ws.BytesSent != wantBytes {
-		t.Errorf("world sent %d messages and %d bytes, want %d and %d", ws.Sends, ws.BytesSent, wantSends, wantBytes)
-	}
-	for _, s := range ws.PerRank {
-		if s.Collectives != 3 {
-			t.Errorf("rank %d collectives %d, want 3 (scatter, allreduce, gather)", s.Rank, s.Collectives)
-		}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%dx%d/gens-%d", rows, tc.cols, tc.gens), func(t *testing.T) {
+			g, err := NewGrid(rows, tc.cols, Torus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Randomize(5, 0.3)
+			dr := &DistRunner{G: g, Ranks: ranks}
+			if _, err := dr.RunCtx(context.Background(), tc.gens); err != nil {
+				t.Fatal(err)
+			}
+			ws := dr.CommStats
+			if len(ws.PerRank) != ranks {
+				t.Fatalf("stats for %d ranks, want %d", len(ws.PerRank), ranks)
+			}
+			rowBytes := int64(wordsPerRow(tc.cols) * 8)
+			const bandRows = rows / ranks
+			wantSends := int64(2*(ranks-1) + 2*ranks*tc.windows + 2*(ranks-1))
+			blockBytes := 2 * (ranks - 1) * bandRows * rowBytes
+			haloBytes := int64(2*ranks*tc.gens) * rowBytes
+			wantBytes := blockBytes + haloBytes + 16*(ranks-1)
+			if ws.Sends != wantSends || ws.BytesSent != wantBytes {
+				t.Errorf("world sent %d messages and %d bytes, want %d and %d", ws.Sends, ws.BytesSent, wantSends, wantBytes)
+			}
+			for _, s := range ws.PerRank {
+				if s.Collectives != 3 {
+					t.Errorf("rank %d collectives %d, want 3 (scatter, allreduce, gather)", s.Rank, s.Collectives)
+				}
+			}
+		})
 	}
 }
 

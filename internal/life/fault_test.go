@@ -55,11 +55,26 @@ func TestDistStragglerBitForBit(t *testing.T) {
 	}
 }
 
+// distInboxBound is the inbox depth DistRunner.RunCtx's comment bounds a
+// rank's halo traffic to: two exchanges' blocks from each neighbor side,
+// plus four reduce messages.
+const distInboxBound = 8
+
+// inboxWithinBound fails the test when a run's point-to-point traffic
+// filled some rank's inbox past distInboxBound.
+func inboxWithinBound(t *testing.T, label string, ws msgpass.WorldStats) {
+	t.Helper()
+	if ws.InboxHWM > distInboxBound {
+		t.Errorf("%s: an inbox reached %d messages, the halo protocol bounds it to %d", label, ws.InboxHWM, distInboxBound)
+	}
+}
+
 // TestDistChaosMatrix is the chaos acceptance matrix: seeds 1..20 by world
 // sizes {2, 8, 33} (33 > rows exercises the surplus-rank clamp), each run
 // under delivery-delay and stall injection plus an armed watchdog, each
-// checked bit-for-bit against the reference loop. Any ordering the chaos
-// schedules can legally produce must land on the same board.
+// checked bit-for-bit against the reference loop and against the inbox
+// bound. Any ordering the chaos schedules can legally produce must land
+// on the same board.
 func TestDistChaosMatrix(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -103,6 +118,7 @@ func TestDistChaosMatrix(t *testing.T) {
 				if stats.LiveUpdates != wantUpdates {
 					t.Errorf("live updates %d, want %d", stats.LiveUpdates, wantUpdates)
 				}
+				inboxWithinBound(t, "chaos dist", stats.Comm)
 			})
 		}
 	}
@@ -117,7 +133,7 @@ func TestDistChaosMatrix(t *testing.T) {
 // and 6 could each block in a Send to the other; the watchdog then
 // reported "rank 5 send(peer 6, tag 2) -> rank 6 send(peer 5, tag 1)". The
 // world's default depth of 16 covers the 8-message worst case RunCtx
-// documents.
+// documents, and every run's measured inbox mark must stay within it.
 func TestDistChaosHaloInboxBound(t *testing.T) {
 	const rows, cols, ranks, gens = 37, 130, 33, 8
 	start, err := NewGrid(rows, cols, DeadEdges)
@@ -143,8 +159,10 @@ func TestDistChaosHaloInboxBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		gridsMatch(t, fmt.Sprintf("seed %d", seed), g, want)
-		statsMatch(t, fmt.Sprintf("seed %d", seed), stats, wantUpdates, gens)
+		label := fmt.Sprintf("seed %d", seed)
+		gridsMatch(t, label, g, want)
+		statsMatch(t, label, stats, wantUpdates, gens)
+		inboxWithinBound(t, label, stats.Comm)
 	}
 }
 

@@ -183,20 +183,26 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPackedDistMatchesReference holds the dist engine to the reference
+// across modes, rank counts and shapes. The depth of its exchange windows
+// varies with them: 8 generations are one window where the bands allow,
+// 33 ranks on 37 rows leave bands of 1 row and windows of 1, and 40x2100,
+// 33 words a row, is where the width term binds: k = 2, four windows. The
+// reference runs once per board.
 func TestPackedDistMatchesReference(t *testing.T) {
-	shapes := [][2]int{{1, 1}, {7, 65}, {16, 16}, {37, 130}}
+	shapes := [][2]int{{1, 1}, {7, 65}, {16, 16}, {37, 130}, {40, 2100}}
+	const gens = 8
 	for _, mode := range allModes {
-		for _, ranks := range []int{1, 2, 8, 33} {
-			for _, sh := range shapes {
-				mode, ranks, rows, cols := mode, ranks, sh[0], sh[1]
-				t.Run(fmt.Sprintf("%v/ranks-%d/%dx%d", mode, ranks, rows, cols), func(t *testing.T) {
-					g, err := NewGrid(rows, cols, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					g.Randomize(42, 0.35)
-					const gens = 8
-					want, wantUpdates := referenceRun(g, gens)
+		for _, sh := range shapes {
+			start, err := NewGrid(sh[0], sh[1], mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start.Randomize(42, 0.35)
+			want, wantUpdates := referenceRun(start, gens)
+			for _, ranks := range []int{1, 2, 4, 8, 33} {
+				t.Run(fmt.Sprintf("%v/ranks-%d/%dx%d", mode, ranks, sh[0], sh[1]), func(t *testing.T) {
+					g := start.Clone()
 					dr := &DistRunner{G: g, Ranks: ranks}
 					stats, err := dr.RunCtx(context.Background(), gens)
 					if err != nil {
@@ -345,25 +351,29 @@ func TestPackedStepAllocates(t *testing.T) {
 
 // FuzzPackedLife holds every engine bit-for-bit to the per-cell reference
 // loop — boards and live updates — across fuzzer-chosen shapes, modes,
-// densities, and worker counts.
+// densities, worker counts and generation counts (1-12), so the dist
+// engine runs several exchange windows of every depth its rule allows.
+// The last seed is 20 rows on 4 ranks for 12 generations: windows of
+// 5+5+2.
 func FuzzPackedLife(f *testing.F) {
-	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128), uint8(2))
-	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64), uint8(3))
-	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200), uint8(8))
-	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25), uint8(5))
-	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB, workersB uint8) {
+	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128), uint8(2), uint8(2))
+	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64), uint8(3), uint8(2))
+	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200), uint8(8), uint8(2))
+	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25), uint8(5), uint8(2))
+	f.Add(uint8(19), uint8(69), uint8(1), int64(23), uint8(90), uint8(3), uint8(11))
+	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB, workersB, gensB uint8) {
 		rows := int(rowsB)%48 + 1
 		cols := int(colsB)%140 + 1
 		mode := EdgeMode(int(modeB) % 4)
 		density := float64(densityB) / 255
 		workers := int(workersB)%8 + 1
 		part := Partition(int(workersB) / 8 % 2)
+		gens := int(gensB)%12 + 1
 		start, err := NewGrid(rows, cols, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		start.Randomize(seed, density)
-		const gens = 3
 		want, wantUpdates := referenceRun(start, gens)
 		label := fmt.Sprintf("%dx%d %v", rows, cols, mode)
 

@@ -93,11 +93,27 @@ func TestParallelRunnerTrace(t *testing.T) {
 	}
 }
 
+// distTraceGolden is the dist runner's span sequence on one lane for the
+// given windows: a generation span per generation, and in the first
+// generation of each window the halo-exchange span, which closes before
+// the kernel runs.
+func distTraceGolden(windows ...int) []string {
+	var want []string
+	for _, k := range windows {
+		want = append(want, "generation/B", "halo-exchange/B", "halo-exchange/E", "generation/E")
+		for j := 1; j < k; j++ {
+			want = append(want, "generation/B", "generation/E")
+		}
+	}
+	return want
+}
+
 // TestDistRunnerTrace checks the distributed timeline: one lane per
 // rank, the runner's generation/halo-exchange nesting golden-matched
 // in program order, the world's own send/recv/allreduce events present
 // on every rank's lane, and the protocol's collectives (scatter,
-// allreduce, gather) in program order.
+// allreduce, gather) in program order. 2 generations on 6-row bands are
+// one window.
 func TestDistRunnerTrace(t *testing.T) {
 	const ranks, gens = 2, 2
 	g, err := NewGrid(12, 12, Torus)
@@ -127,13 +143,8 @@ func TestDistRunnerTrace(t *testing.T) {
 		t.Fatalf("exported trace failed validation: %v", err)
 	}
 
-	// Runner-level spans nest deterministically: the halo exchange opens
-	// right after the generation does and closes before the kernel runs.
-	var want []string
-	for i := 0; i < gens; i++ {
-		want = append(want,
-			"generation/B", "halo-exchange/B", "halo-exchange/E", "generation/E")
-	}
+	// Runner-level spans nest deterministically.
+	want := distTraceGolden(2)
 	for r := 0; r < ranks; r++ {
 		label := fmt.Sprintf("rank %d", r)
 		seq, ok := sum.PerLane[label]
@@ -143,7 +154,7 @@ func TestDistRunnerTrace(t *testing.T) {
 		seqEqual(t, label, filterSeq(seq, "generation", "halo-exchange"), want)
 
 		// The world's message and collective events ride the same lane:
-		// halo sends/recvs each generation and the closing allreduce.
+		// the window's halo sends/recvs and the closing allreduce.
 		for _, needed := range []string{"send/X", "recv/X", "allreduce/B", "allreduce/E"} {
 			found := false
 			for _, e := range seq {
@@ -169,20 +180,25 @@ func TestDistRunnerTrace(t *testing.T) {
 }
 
 // TestDistRunnerTracePacked re-runs the traced distributed protocol on
-// multi-word packed rows: same lanes, same runner-level golden.
+// multi-word packed rows over two windows: 7 generations on 5-row bands
+// are a 5-generation window and a 2-generation one.
 func TestDistRunnerTracePacked(t *testing.T) {
-	const ranks, gens = 2, 3
+	const ranks, gens = 2, 7
 	g, err := NewGrid(10, 130, Torus) // cols > 64 exercises multi-word rows
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(13, 0.3)
+	ref, refUpdates := referenceRun(g, gens)
 
 	tr := obs.New()
 	dr := &DistRunner{G: g, Ranks: ranks, Trace: tr}
-	if _, err := dr.RunCtx(context.Background(), gens); err != nil {
+	stats, err := dr.RunCtx(context.Background(), gens)
+	if err != nil {
 		t.Fatal(err)
 	}
+	gridsMatch(t, "traced packed dist vs reference", g, ref)
+	statsMatch(t, "traced packed dist vs reference", stats, refUpdates, gens)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -192,11 +208,7 @@ func TestDistRunnerTracePacked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace failed validation: %v", err)
 	}
-	var want []string
-	for i := 0; i < gens; i++ {
-		want = append(want,
-			"generation/B", "halo-exchange/B", "halo-exchange/E", "generation/E")
-	}
+	want := distTraceGolden(5, 2)
 	for r := 0; r < ranks; r++ {
 		label := fmt.Sprintf("rank %d", r)
 		seqEqual(t, label, filterSeq(sum.PerLane[label], "generation", "halo-exchange"), want)

@@ -41,7 +41,9 @@
 // each hang the runtime used to be capable of is now a reported error.
 //
 // Every Comm keeps per-rank traffic counters (messages, bytes, collective
-// calls) so experiments can weigh communication against computation.
+// calls) so experiments can weigh communication against computation, and
+// an inbox high-water mark so a protocol's stated inbox bound can be
+// checked against the depth its point-to-point traffic reached.
 package msgpass
 
 import (
@@ -314,6 +316,14 @@ type CommStats struct {
 	BytesSent   int64
 	BytesRecvd  int64
 	Collectives int64 // collective calls entered on this rank
+
+	// InboxHWM is the longest this rank's inbox was right after a
+	// point-to-point message (tag >= 0) was enqueued into it: the depth a
+	// user-level exchange actually reached, whatever collective messages
+	// sat in the inbox beside it. Enqueues of collective traffic leave the
+	// mark alone, so a root-direct Gather filling the root's inbox after
+	// the exchanges are done does not count.
+	InboxHWM int64
 }
 
 // WorldStats aggregates every rank's counters.
@@ -322,6 +332,7 @@ type WorldStats struct {
 	Sends       int64
 	BytesSent   int64
 	Collectives int64
+	InboxHWM    int64 // the largest rank's InboxHWM
 	Running     int64 // rank goroutines currently live inside Run/RunCtx
 }
 
@@ -334,6 +345,7 @@ func (w *World) Stats() WorldStats {
 		ws.Sends += s.Sends
 		ws.BytesSent += s.BytesSent
 		ws.Collectives += s.Collectives
+		ws.InboxHWM = max(ws.InboxHWM, s.InboxHWM)
 	}
 	return ws
 }
@@ -397,6 +409,7 @@ type Comm struct {
 	bytesSent   atomic.Int64
 	bytesRecvd  atomic.Int64
 	collectives atomic.Int64
+	inboxHWM    atomic.Int64 // raised by senders, so atomic max
 }
 
 // Rank reports this communicator's rank.
@@ -430,6 +443,20 @@ func (c *Comm) Stats() CommStats {
 		BytesSent:   c.bytesSent.Load(),
 		BytesRecvd:  c.bytesRecvd.Load(),
 		Collectives: c.collectives.Load(),
+		InboxHWM:    c.inboxHWM.Load(),
+	}
+}
+
+// noteInbox raises the inbox high-water mark to the inbox's current
+// length. Senders race on it, so it is a compare-and-swap max; the common
+// case, a length at or under the mark, is one load.
+func (c *Comm) noteInbox() {
+	n := int64(len(c.inbox))
+	for {
+		hwm := c.inboxHWM.Load()
+		if n <= hwm || c.inboxHWM.CompareAndSwap(hwm, n) {
+			return
+		}
 	}
 }
 
@@ -527,6 +554,9 @@ func (c *Comm) sendMsg(dest, tag int, payload any) error {
 		if err != nil {
 			return err
 		}
+	}
+	if tag >= 0 {
+		dst.noteInbox()
 	}
 	c.sends.Add(1)
 	c.bytesSent.Add(n)

@@ -2,6 +2,7 @@ package msgpass
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,6 +270,72 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if ws.Sends != 4 || ws.BytesSent != 28 {
 		t.Errorf("world stats %+v", ws)
+	}
+}
+
+// TestInboxHWM pins the inbox high-water mark: n point-to-point messages
+// queued before their receiver drains any read n on the receiver and 0 on
+// the sender, while a Gather whose root collects only after every block is
+// queued leaves the mark at 0, because collective enqueues are not counted.
+func TestInboxHWM(t *testing.T) {
+	const n = 5
+	w, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan struct{})
+	err = w.Run(func(c *Comm) error {
+		if c.Rank() == 1 {
+			for i := 0; i < n; i++ {
+				if err := Send(c, 0, i, i); err != nil {
+					return err
+				}
+			}
+			close(queued)
+			return nil
+		}
+		<-queued
+		for i := 0; i < n; i++ {
+			if _, err := Recv[int](c, 1, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := w.Stats()
+	if ws.PerRank[0].InboxHWM != n || ws.PerRank[1].InboxHWM != 0 || ws.InboxHWM != n {
+		t.Errorf("inbox marks %d and %d, world %d; want %d, 0 and %d",
+			ws.PerRank[0].InboxHWM, ws.PerRank[1].InboxHWM, ws.InboxHWM, n, n)
+	}
+
+	const ranks = 4
+	w, err = NewWorld(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent sync.WaitGroup
+	sent.Add(ranks - 1)
+	err = w.Run(func(c *Comm) error {
+		if c.Rank() != 0 {
+			defer sent.Done()
+			_, err := Gather(c, 0, c.Rank())
+			return err
+		}
+		sent.Wait()
+		got, err := Gather(c, 0, 0)
+		if err == nil && len(got) != ranks {
+			err = fmt.Errorf("gathered %v", got)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := w.Stats(); ws.InboxHWM != 0 {
+		t.Errorf("gather raised the inbox mark to %d, want 0", ws.InboxHWM)
 	}
 }
 
