@@ -44,7 +44,12 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "life:", err)
+		// Errors from internal/life already start with "life:".
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "life:") {
+			msg = "life: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

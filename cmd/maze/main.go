@@ -14,13 +14,19 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"cs31/internal/maze"
 )
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "maze:", err)
+		// Errors from internal/maze already start with "maze:".
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "maze:") {
+			msg = "maze: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

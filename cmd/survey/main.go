@@ -12,13 +12,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"cs31/internal/survey"
 )
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "survey:", err)
+		// Errors from internal/survey already start with "survey:".
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "survey:") {
+			msg = "survey: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }
@@ -31,6 +37,9 @@ func run() error {
 	seed := flag.Int64("seed", 2022, "cohort seed")
 	flag.Parse()
 
+	if *students < 1 {
+		return fmt.Errorf("-students %d below 1", *students)
+	}
 	if !*table1 && !*figure1 && !*compare {
 		*table1, *figure1 = true, true
 	}

@@ -29,6 +29,12 @@ package life
 // i.e. alive next iff the count is exactly 3, or exactly 2 with the cell
 // already live: about 40 integer ops per 64 cells. Live-update statistics
 // come back for free as bits.OnesCount64(next ^ current) per word.
+//
+// On amd64 CPUs with AVX2, the words of a row that have a neighbor word on
+// both sides also run through a vector pass (packed_amd64.s): the same
+// algebra on 256-bit registers, four words per instruction. The scalar
+// kernel is the only path on rows too narrow for a run of four such words
+// (up to 5 words, 320 columns) and on every other CPU.
 
 import "math/bits"
 
@@ -134,7 +140,79 @@ func lifeWord(u, c, d, w0, w1, e0, e1 uint64) uint64 {
 // boundaries: an output word reads only its own row triple and the column
 // sums of the adjacent words from the read-only source parity buffer, so
 // concurrent tiles never write-share a word. Allocates nothing.
+//
+// The CPU and the tile's width choose the path. Where the CPU has the
+// vector pass (hasVector) and each row of the tile holds a run of at least
+// four words after its first word, all with a neighbor word on both sides
+// in the row, stepVectorRows advances the tile; elsewhere stepScalar does.
+// Both compute the same algebra, so the board and the count do not depend
+// on the path.
 func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW int) int64 {
+	if run := (min(hiW, wpr-1) - loW - 1) &^ 3; hasVector && run > 0 {
+		return stepVectorRows(src, dst, zeroRow, oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW, run)
+	}
+	return stepScalar(src, dst, zeroRow, oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
+}
+
+// stepVectorRows is stepPackedSlices on a tile whose rows hold a vector
+// run of run words, a positive multiple of 4, from word loW+1. Each row
+// takes one pass: the tile's first word as stepScalar computes it, the
+// run through vectorRun, then the words after the run as stepScalar's
+// loop does, the row's last word with the east ghost column. It repeats
+// stepScalar's edge handling rather than share it: a vector call or a
+// branch in stepScalar changes the register allocation of the loop that
+// narrow boards run, and slows them.
+func stepVectorRows(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW, run int) int64 {
+	lastLane := uint(cols-1) & 63
+	lastMask := lastWordMask(cols)
+	end := min(hiW, wpr-1)
+	var changed int64
+	for r := loRow; r < hiRow; r++ {
+		base := r * wpr
+		cur := src[base : base+wpr]
+		out := dst[base : base+wpr]
+		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)[:wpr]
+		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)[:wpr]
+		uw, ue := packedGhostCols(up, mode, lastLane)
+		cw, ce := packedGhostCols(cur, mode, lastLane)
+		dw, de := packedGhostCols(down, mode, lastLane)
+		var l0, l1 uint64
+		if loW > 0 {
+			l0, l1 = colSum(up[loW-1], cur[loW-1], down[loW-1])
+		} else {
+			l0, l1 = colSum(uw<<63, cw<<63, dw<<63)
+		}
+		w := loW
+		v0, v1 := colSum(up[w], cur[w], down[w])
+		n0, n1 := colSum(up[w+1], cur[w+1], down[w+1])
+		next := lifeWord(up[w], cur[w], down[w], v0<<1|l0>>63, v1<<1|l1>>63, v0>>1|n0<<63, v1>>1|n1<<63)
+		out[w] = next
+		changed += int64(bits.OnesCount64(next ^ cur[w]))
+		changed += vectorRun(up, cur, down, out, w+1, run)
+		w += 1 + run
+		l0, l1 = colSum(up[w-1], cur[w-1], down[w-1])
+		v0, v1 = colSum(up[w], cur[w], down[w])
+		for ; w < end; w++ {
+			n0, n1 := colSum(up[w+1], cur[w+1], down[w+1])
+			next := lifeWord(up[w], cur[w], down[w], v0<<1|l0>>63, v1<<1|l1>>63, v0>>1|n0<<63, v1>>1|n1<<63)
+			out[w] = next
+			changed += int64(bits.OnesCount64(next ^ cur[w]))
+			l0, l1, v0, v1 = v0, v1, n0, n1
+		}
+		if w < hiW {
+			e0, e1 := colSum(ue, ce, de)
+			next := lifeWord(up[w], cur[w], down[w], v0<<1|l0>>63, v1<<1|l1>>63, v0>>1|e0<<lastLane, v1>>1|e1<<lastLane) & lastMask
+			out[w] = next
+			changed += int64(bits.OnesCount64(next ^ cur[w]))
+		}
+	}
+	return changed
+}
+
+// stepScalar is the SWAR kernel, one word per step of the inner loop, with
+// stepPackedSlices's contract. It is the only path on tiles too narrow
+// for a vector run and on CPUs without the vector pass.
+func stepScalar(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW int) int64 {
 	if loRow >= hiRow || loW >= hiW {
 		return 0
 	}

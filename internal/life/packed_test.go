@@ -17,6 +17,7 @@ func TestPackedStepMatchesReference(t *testing.T) {
 	shapes := [][2]int{
 		{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 5}, {5, 2}, {3, 3}, {16, 16},
 		{13, 31}, {64, 17}, {5, 63}, {5, 64}, {5, 65}, {4, 127}, {3, 130},
+		{3, 385}, {5, 700},
 	}
 	for _, mode := range allModes {
 		for _, sh := range shapes {
@@ -46,10 +47,13 @@ func TestPackedStepMatchesReference(t *testing.T) {
 // and end on both row edges and at interior words, so each one exercises
 // the west carry-in from the word left of it or the west ghost column,
 // and the east carry from the word right of it or the east ghost column.
+// From 385 columns (7 words) on, the wider tiles hold a vector run where
+// the CPU has one; "run-mid-row" starts its run after word 2 and leaves
+// a scalar tail before the row's last two words.
 func TestStepTileMatchesReference(t *testing.T) {
 	const sentinel = 0xa5a5_5a5a_c3c3_3c3c
 	for _, mode := range allModes {
-		for _, cols := range []int{1, 63, 64, 65, 127, 130, 200} {
+		for _, cols := range []int{1, 63, 64, 65, 127, 130, 200, 385, 449, 640, 1000} {
 			start, err := NewGrid(7, cols, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -69,6 +73,7 @@ func TestStepTileMatchesReference(t *testing.T) {
 				{"last-word", 0, rows, wpr - 1, wpr},
 				{"interior", 1, rows - 1, 1, max(1, wpr-1)},
 				{"to-row-end", 2, rows, wpr / 2, wpr},
+				{"run-mid-row", 1, rows - 1, 2, max(2, wpr-2)},
 				{"full", 0, rows, 0, wpr},
 			}
 			for _, tile := range tiles {
@@ -113,10 +118,12 @@ func TestStepTileMatchesReference(t *testing.T) {
 // word boundary (plus multi-word raggeds) across every edge mode and
 // several densities, each run on all three engines. These widths exercise
 // the last-word mask, the slack-lane invariant, the ghost-column injection
-// at lastLane, and the seams between ByCols word tiles.
+// at lastLane, and the seams between ByCols word tiles. At 449 and 833
+// columns full rows hold a vector run before a ragged last word, and at
+// 833 two of the three ByCols tiles hold one too.
 func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 	for _, mode := range allModes {
-		for _, cols := range []int{1, 63, 64, 65, 127, 130} {
+		for _, cols := range []int{1, 63, 64, 65, 127, 130, 449, 833} {
 			for _, density := range []float64{0.1, 0.5, 0.9} {
 				mode, cols, density := mode, cols, density
 				t.Run(fmt.Sprintf("%v/cols-%d/d%.0f", mode, cols, density*10), func(t *testing.T) {
@@ -336,16 +343,103 @@ func TestPackedClonePreservesRepresentation(t *testing.T) {
 	}
 }
 
-// TestPackedStepAllocates pins the SWAR kernel's hot loop at zero
-// allocations on multi-word rows.
+// TestPackedStepAllocates pins the kernel at zero allocations on
+// multi-word rows: 130 columns run the scalar kernel alone, 700 columns
+// (11 words) the vector pass too where the CPU has one.
 func TestPackedStepAllocates(t *testing.T) {
-	g, err := NewGrid(64, 130, Torus)
-	if err != nil {
-		t.Fatal(err)
+	for _, cols := range []int{130, 700} {
+		g, err := NewGrid(64, cols, Torus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Randomize(3, 0.3)
+		if avg := testing.AllocsPerRun(50, func() { g.Step() }); avg != 0 {
+			t.Errorf("packed Step at 64x%d allocates %.1f objects per generation, want 0", cols, avg)
+		}
 	}
-	g.Randomize(3, 0.3)
-	if avg := testing.AllocsPerRun(50, func() { g.Step() }); avg != 0 {
-		t.Errorf("packed Step allocates %.1f objects per generation, want 0", avg)
+}
+
+// TestVectorRunMatchesScalar holds the vector pass to the scalar kernel,
+// calling both directly. On random rows, vectorRun must write the words
+// stepScalar writes for the same run, touch no other word of the output
+// row, and return the same count. On random boards and tiles,
+// stepPackedSlices, which composes the two, must write the same dst and
+// return the same count as stepScalar alone.
+func TestVectorRunMatchesScalar(t *testing.T) {
+	if !hasVector {
+		t.Skip("this CPU has no AVX2: the scalar kernel runs every word")
+	}
+	const sentinel = 0x5a5a_a5a5_3c3c_c3c3
+	rng := rand.New(rand.NewSource(25))
+	// randomWord draws a word of density 1/4, 1/2 or 3/4, or all zeros
+	// or ones, so runs of births, deaths and steady cells all occur.
+	randomWord := func() uint64 {
+		a, b := rng.Uint64(), rng.Uint64()
+		switch rng.Intn(6) {
+		case 0:
+			return a & b
+		case 1:
+			return a | b
+		case 2:
+			return 0
+		case 3:
+			return ^uint64(0)
+		default:
+			return a
+		}
+	}
+	sentinels := func(n int) []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = sentinel
+		}
+		return s
+	}
+	for trial := 0; trial < 2000; trial++ {
+		wpr := 6 + rng.Intn(20)
+		src := make([]uint64, 3*wpr)
+		for i := range src {
+			src[i] = randomWord()
+		}
+		w := 1 + rng.Intn(wpr-5)
+		n := 4 * (1 + rng.Intn((wpr-1-w)/4))
+		got, want := sentinels(3*wpr), sentinels(3*wpr)
+		// Row 1 of a three-row board: its up and down rows are rows 0
+		// and 2, and words w..w+n-1 never reach a ghost column.
+		gotN := vectorRun(src[:wpr], src[wpr:2*wpr], src[2*wpr:], got[wpr:2*wpr], w, n)
+		wantN := stepScalar(src, want, nil, nil, 3, wpr*64, wpr, Torus, 1, 2, w, w+n)
+		if gotN != wantN {
+			t.Fatalf("trial %d, %d words, run [%d,%d): vectorRun counted %d, stepScalar %d", trial, wpr, w, w+n, gotN, wantN)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d, %d words, run [%d,%d): word %d of the 3-row board is %#x, stepScalar wrote %#x", trial, wpr, w, w+n, i, got[i], want[i])
+			}
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := 1+rng.Intn(10), 1+rng.Intn(1200)
+		mode := allModes[rng.Intn(len(allModes))]
+		g, err := NewGrid(rows, cols, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Randomize(rng.Int63(), rng.Float64())
+		wpr := g.wpr
+		loRow, loW := rng.Intn(rows), rng.Intn(wpr)
+		hiRow, hiW := loRow+1+rng.Intn(rows-loRow), loW+1+rng.Intn(wpr-loW)
+		got, want := sentinels(len(g.cells)), sentinels(len(g.cells))
+		gotN := stepPackedSlices(g.cells, got, g.zeroRow, g.oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
+		wantN := stepScalar(g.cells, want, g.zeroRow, g.oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
+		label := fmt.Sprintf("%dx%d %v tile rows [%d,%d) words [%d,%d)", rows, cols, mode, loRow, hiRow, loW, hiW)
+		if gotN != wantN {
+			t.Fatalf("%s: stepPackedSlices counted %d, stepScalar %d", label, gotN, wantN)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: word %d is %#x, stepScalar wrote %#x", label, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -353,17 +447,21 @@ func TestPackedStepAllocates(t *testing.T) {
 // loop — boards and live updates — across fuzzer-chosen shapes, modes,
 // densities, worker counts and generation counts (1-12), so the dist
 // engine runs several exchange windows of every depth its rule allows.
-// The last seed is 20 rows on 4 ranks for 12 generations: windows of
-// 5+5+2.
+// Widths reach 896 columns (14 words), where rows have vector runs; past
+// 140 columns the row count shrinks with the width, so one input stays
+// near 48x140 cells. Seed #4 is 20 rows on 4 ranks for 12 generations:
+// windows of 5+5+2. Seed #5 is 8x800 (13 words) on 2 ByCols workers, so
+// each tile holds a vector run and a scalar tail.
 func FuzzPackedLife(f *testing.F) {
-	f.Add(uint8(3), uint8(3), uint8(0), int64(1), uint8(128), uint8(2), uint8(2))
-	f.Add(uint8(1), uint8(65), uint8(1), int64(42), uint8(64), uint8(3), uint8(2))
-	f.Add(uint8(9), uint8(127), uint8(2), int64(7), uint8(200), uint8(8), uint8(2))
-	f.Add(uint8(16), uint8(64), uint8(3), int64(99), uint8(25), uint8(5), uint8(2))
-	f.Add(uint8(19), uint8(69), uint8(1), int64(23), uint8(90), uint8(3), uint8(11))
-	f.Fuzz(func(t *testing.T, rowsB, colsB, modeB uint8, seed int64, densityB, workersB, gensB uint8) {
-		rows := int(rowsB)%48 + 1
-		cols := int(colsB)%140 + 1
+	f.Add(uint8(3), uint16(3), uint8(0), int64(1), uint8(128), uint8(2), uint8(2))
+	f.Add(uint8(1), uint16(65), uint8(1), int64(42), uint8(64), uint8(3), uint8(2))
+	f.Add(uint8(9), uint16(127), uint8(2), int64(7), uint8(200), uint8(8), uint8(2))
+	f.Add(uint8(16), uint16(64), uint8(3), int64(99), uint8(25), uint8(5), uint8(2))
+	f.Add(uint8(19), uint16(69), uint8(1), int64(23), uint8(90), uint8(3), uint8(11))
+	f.Add(uint8(40), uint16(799), uint8(3), int64(5), uint8(90), uint8(9), uint8(5))
+	f.Fuzz(func(t *testing.T, rowsB uint8, colsB uint16, modeB uint8, seed int64, densityB, workersB, gensB uint8) {
+		cols := int(colsB)%896 + 1
+		rows := int(rowsB)%48*140/max(cols, 140) + 1
 		mode := EdgeMode(int(modeB) % 4)
 		density := float64(densityB) / 255
 		workers := int(workersB)%8 + 1
