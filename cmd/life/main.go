@@ -134,7 +134,7 @@ func run() error {
 		if cfg.Iters > 0 {
 			*iters = cfg.Iters
 		}
-		g, err = cfg.BuildGrid(life.Torus)
+		g, err = cfg.BuildGrid()
 		if err != nil {
 			return err
 		}

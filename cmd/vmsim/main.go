@@ -33,6 +33,27 @@ func main() {
 	}
 }
 
+// checkVM rejects what would make the simulator allocate past labd's
+// bounds (vm.MaxFrames and the rest): -frames outside [1, vm.MaxFrames],
+// -tlb outside [0, vm.MaxTLBEntries], and -pages below 1 or with page
+// tables for procs processes past vm.MaxPageEntries entries in all. The
+// product is bounded by division, so no -pages value overflows it.
+func checkVM(frames, tlb int, pages uint64, procs int) error {
+	if frames < 1 || frames > vm.MaxFrames {
+		return fmt.Errorf("-frames %d outside [1, %d]", frames, vm.MaxFrames)
+	}
+	if tlb < 0 || tlb > vm.MaxTLBEntries {
+		return fmt.Errorf("-tlb %d outside [0, %d]", tlb, vm.MaxTLBEntries)
+	}
+	if pages < 1 {
+		return fmt.Errorf("-pages %d below 1", pages)
+	}
+	if uint64(procs) > vm.MaxPageEntries/pages {
+		return fmt.Errorf("-pages %d by %d distinct pids exceeds %d page-table entries", pages, procs, vm.MaxPageEntries)
+	}
+	return nil
+}
+
 func run() error {
 	pageSize := flag.Uint64("pagesize", 256, "page size in bytes (power of two)")
 	frames := flag.Int("frames", 8, "physical frames")
@@ -65,6 +86,13 @@ func run() error {
 		return fmt.Errorf("unknown workload %q", *workload)
 	}
 
+	pids := map[vm.Pid]bool{}
+	for _, s := range steps {
+		pids[s.pid] = true
+	}
+	if err := checkVM(*frames, *tlb, *pages, len(pids)); err != nil {
+		return err
+	}
 	sys, err := vm.New(vm.Config{
 		PageSize: *pageSize, NumFrames: *frames, TLBSize: *tlb, NumPages: *pages,
 	})

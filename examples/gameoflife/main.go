@@ -18,7 +18,7 @@ import (
 func main() {
 	// Lab 6: the blinker oscillator from the handout, run serially.
 	cfg := life.Oscillator()
-	serial, err := cfg.BuildGrid(life.Torus)
+	serial, err := cfg.BuildGrid()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 	// the serial engine. life.Advance picks the engine from the spec: more
 	// than one worker runs the parallel engine.
 	twoThreads := life.Engine{Workers: 2}
-	parallel, err := cfg.BuildGrid(life.Torus)
+	parallel, err := cfg.BuildGrid()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,9 +45,9 @@ const (
 	maxTraceLen    = 1 << 20 // cache / VM trace entries, matrix-workload rows*cols
 	maxGridCells   = 1 << 20 // life rows*cols
 	maxCacheLines  = 1 << 16 // cache size_bytes/block_size
-	maxVMFrames    = 1 << 12 // vm num_frames
-	maxTLBEntries  = 1 << 10 // vm tlb_size
-	maxPageEntries = 1 << 20 // vm num_pages times the trace's distinct pids
+	maxVMFrames    = vm.MaxFrames
+	maxTLBEntries  = vm.MaxTLBEntries
+	maxPageEntries = vm.MaxPageEntries
 	maxTableRows   = 1 << 12 // cache table_n: all of the default 64x64 workload
 	maxLifeIters   = 10_000
 	maxLifeThreads = 64

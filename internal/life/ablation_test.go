@@ -32,23 +32,3 @@ func BenchmarkPartitionAblation(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEdgeModes compares torus wraparound (modulo arithmetic per
-// neighbor) against dead edges (bounds checks) — a second ablation on the
-// serial engine.
-func BenchmarkEdgeModes(b *testing.B) {
-	for _, mode := range allModes {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			g, err := NewGrid(128, 128, mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Randomize(1, 0.3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Step()
-			}
-		})
-	}
-}

@@ -183,8 +183,8 @@ func (c *cancelAtSecondPoll) Err() error {
 // reference loop on the error class, the grid's generation and board,
 // Rounds and LiveUpdates, and the worker count clamped to the partition
 // extent. The cases cover n of -1, 0, 1 and 9, boards with fewer rows or
-// words than workers, every edge mode, and a live, a nil, a pre-canceled
-// and a mid-run-canceled context. A run canceled mid-way either completes
+// words than workers, and a live, a nil, a pre-canceled and a
+// mid-run-canceled context. A run canceled mid-way either completes
 // in full or fails wrapping context.Canceled with the grid on a whole
 // generation; the dist engine's grid stays untouched.
 func TestEngineContractMatchesReference(t *testing.T) {
@@ -249,64 +249,62 @@ func TestEngineContractMatchesReference(t *testing.T) {
 				workerCounts = []int{1}
 			}
 			t.Run(path.name+"/"+e.name, func(t *testing.T) {
-				for _, mode := range allModes {
-					for _, sh := range boards {
-						start, err := NewGrid(sh[0], sh[1], mode)
-						if err != nil {
-							t.Fatal(err)
-						}
-						start.Randomize(int64(sh[0]*1000+sh[1]), 0.4)
-						// refs[k] is the board after k reference generations,
-						// updates[k] the cells that changed on the way there.
-						refs, updates := []*Grid{start.Clone()}, []int64{0}
-						for k := 1; k <= maxGens; k++ {
-							next := refs[k-1].Clone()
-							updates = append(updates, updates[k-1]+next.stepReference())
-							refs = append(refs, next)
-						}
-						for _, workers := range workerCounts {
-							wantWorkers := min(workers, start.extent(e.part))
-							// Advance runs one worker on the serial engine.
-							distRuns := e.dist && (path.name == "RunCtx" || workers > 1)
-							for _, n := range []int{-1, 0, 1, maxGens} {
-								for _, c := range ctxs {
-									label := fmt.Sprintf("%v/%dx%d/workers-%d/n=%d/%s ctx", mode, sh[0], sh[1], workers, n, c.name)
-									g := start.Clone()
-									st, err := path.run(c.make(), g, e, workers, n)
-									switch {
-									case n < 0:
-										if !errors.Is(err, errNegativeGens) {
-											t.Errorf("%s: got %v, want a negative-generations error", label, err)
-										}
-										gridsMatch(t, label, g, refs[0])
-									case c.name == "pre-canceled":
-										if !errors.Is(err, context.Canceled) {
-											t.Errorf("%s: got %v, want an error wrapping context.Canceled", label, err)
-										}
-										gridsMatch(t, label, g, refs[0])
-									case err != nil:
-										if c.name != "mid-run" || !errors.Is(err, context.Canceled) {
-											t.Errorf("%s: %v", label, err)
-											continue
-										}
-										if distRuns && g.Generation != 0 {
-											t.Errorf("%s: canceled dist run moved the grid to generation %d", label, g.Generation)
-										}
-										if g.Generation < 0 || g.Generation > n {
-											t.Errorf("%s: canceled run left the grid at generation %d", label, g.Generation)
-											continue
-										}
-										gridsMatch(t, label, g, refs[g.Generation])
-									default:
-										gridsMatch(t, label, g, refs[n])
-										statsMatch(t, label, st, updates[n], n)
-										if st.Workers != wantWorkers {
-											t.Errorf("%s: Workers = %d, want %d", label, st.Workers, wantWorkers)
-										}
+				for _, sh := range boards {
+					start, err := NewGrid(sh[0], sh[1], Torus)
+					if err != nil {
+						t.Fatal(err)
+					}
+					start.Randomize(int64(sh[0]*1000+sh[1]), 0.4)
+					// refs[k] is the board after k reference generations,
+					// updates[k] the cells that changed on the way there.
+					refs, updates := []*Grid{start.Clone()}, []int64{0}
+					for k := 1; k <= maxGens; k++ {
+						next := refs[k-1].Clone()
+						updates = append(updates, updates[k-1]+next.stepReference())
+						refs = append(refs, next)
+					}
+					for _, workers := range workerCounts {
+						wantWorkers := min(workers, start.extent(e.part))
+						// Advance runs one worker on the serial engine.
+						distRuns := e.dist && (path.name == "RunCtx" || workers > 1)
+						for _, n := range []int{-1, 0, 1, maxGens} {
+							for _, c := range ctxs {
+								label := fmt.Sprintf("%dx%d/workers-%d/n=%d/%s ctx", sh[0], sh[1], workers, n, c.name)
+								g := start.Clone()
+								st, err := path.run(c.make(), g, e, workers, n)
+								switch {
+								case n < 0:
+									if !errors.Is(err, errNegativeGens) {
+										t.Errorf("%s: got %v, want a negative-generations error", label, err)
 									}
-									if err != nil && st != nil {
-										t.Errorf("%s: failed run returned stats %+v", label, st)
+									gridsMatch(t, label, g, refs[0])
+								case c.name == "pre-canceled":
+									if !errors.Is(err, context.Canceled) {
+										t.Errorf("%s: got %v, want an error wrapping context.Canceled", label, err)
 									}
+									gridsMatch(t, label, g, refs[0])
+								case err != nil:
+									if c.name != "mid-run" || !errors.Is(err, context.Canceled) {
+										t.Errorf("%s: %v", label, err)
+										continue
+									}
+									if distRuns && g.Generation != 0 {
+										t.Errorf("%s: canceled dist run moved the grid to generation %d", label, g.Generation)
+									}
+									if g.Generation < 0 || g.Generation > n {
+										t.Errorf("%s: canceled run left the grid at generation %d", label, g.Generation)
+										continue
+									}
+									gridsMatch(t, label, g, refs[g.Generation])
+								default:
+									gridsMatch(t, label, g, refs[n])
+									statsMatch(t, label, st, updates[n], n)
+									if st.Workers != wantWorkers {
+										t.Errorf("%s: Workers = %d, want %d", label, st.Workers, wantWorkers)
+									}
+								}
+								if err != nil && st != nil {
+									t.Errorf("%s: failed run returned stats %+v", label, st)
 								}
 							}
 						}

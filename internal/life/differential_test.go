@@ -3,7 +3,7 @@ package life
 // Differential equivalence: the SWAR kernel behind Step, RunCounted, and
 // the ParallelRunner tiles must be bit-for-bit identical to the per-cell
 // Lab 6 loop (stepReference) — boards AND live-update counts — for every
-// edge mode, partition, grid shape (including degenerate 1xN / Nx1 / 2x2
+// edge ring, partition, grid shape (including degenerate 1xN / Nx1 / 2x2
 // grids where torus wrapping double-counts neighbors), and over many
 // generations.
 
@@ -13,9 +13,49 @@ import (
 	"testing"
 )
 
-// allModes enumerates every edge mode; the differential matrices sweep all
-// of them so ghost synthesis is pinned for each boundary behavior.
-var allModes = []EdgeMode{Torus, DeadEdges, AliveEdges, MirrorEdges}
+// edgeRings are the start boards the engine differentials sweep, every
+// one a torus. "torus" keeps the random fill. The other three overwrite
+// the board's edge ring (its first and last rows and columns) so that at
+// generation 0 the ghost cells the wrap brings in hold what the dropped
+// dead, alive and mirror boundaries synthesized: "dead-edges" clears the
+// ring, so no live neighbor crosses the seam; "alive-edges" fills it, so
+// every ghost cell is live, the corners too; "mirror" copies the first
+// column onto the last and then the first row onto the last, so each
+// ghost cell holds the state of the edge cell it flanks. The subtests
+// keep the names those boundaries gave them.
+var edgeRings = []struct {
+	name string
+	lay  func(g *Grid)
+}{
+	{"torus", func(*Grid) {}},
+	{"dead-edges", func(g *Grid) { fillEdgeRing(g, false) }},
+	{"alive-edges", func(g *Grid) { fillEdgeRing(g, true) }},
+	{"mirror", mirrorEdgeRing},
+}
+
+// fillEdgeRing makes every cell of g's first and last rows and columns
+// live or dead.
+func fillEdgeRing(g *Grid, live bool) {
+	for r := 0; r < g.Rows; r++ {
+		g.Set(r, 0, live)
+		g.Set(r, g.Cols-1, live)
+	}
+	for c := 0; c < g.Cols; c++ {
+		g.Set(0, c, live)
+		g.Set(g.Rows-1, c, live)
+	}
+}
+
+// mirrorEdgeRing makes g's last column repeat its first, then its last
+// row repeat its first, so the wrap brings each edge cell its own state.
+func mirrorEdgeRing(g *Grid) {
+	for r := 0; r < g.Rows; r++ {
+		g.Set(r, g.Cols-1, g.Alive(r, 0))
+	}
+	for c := 0; c < g.Cols; c++ {
+		g.Set(g.Rows-1, c, g.Alive(0, c))
+	}
+}
 
 // referenceRun advances a clone of g through n generations of the per-cell
 // reference loop and returns it with the number of cell state changes —
@@ -55,15 +95,16 @@ func statsMatch(t *testing.T, label string, got *RunStats, wantUpdates int64, ge
 // generation it first appears.
 func TestStepMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 5}, {5, 2}, {3, 3}, {16, 16}, {13, 31}, {64, 17}}
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, sh := range shapes {
 			rows, cols := sh[0], sh[1]
-			t.Run(fmt.Sprintf("%v/%dx%d", mode, rows, cols), func(t *testing.T) {
-				g, err := NewGrid(rows, cols, mode)
+			t.Run(fmt.Sprintf("%s/%dx%d", ring.name, rows, cols), func(t *testing.T) {
+				g, err := NewGrid(rows, cols, Torus)
 				if err != nil {
 					t.Fatal(err)
 				}
 				g.Randomize(42, 0.35)
+				ring.lay(g)
 				ref := g.Clone()
 				for gen := 1; gen <= 8; gen++ {
 					g.Step()
@@ -79,16 +120,17 @@ func TestStepMatchesReference(t *testing.T) {
 }
 
 func TestParallelMatchesReference(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, part := range []Partition{ByRows, ByCols} {
 			for _, threads := range []int{1, 2, 3, 7} {
-				mode, part, threads := mode, part, threads
-				t.Run(fmt.Sprintf("%v/%v/threads-%d", mode, part, threads), func(t *testing.T) {
-					g, err := NewGrid(19, 23, mode)
+				ring, part, threads := ring, part, threads
+				t.Run(fmt.Sprintf("%s/%v/threads-%d", ring.name, part, threads), func(t *testing.T) {
+					g, err := NewGrid(19, 23, Torus)
 					if err != nil {
 						t.Fatal(err)
 					}
 					g.Randomize(7, 0.3)
+					ring.lay(g)
 					const gens = 6
 					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
@@ -130,15 +172,16 @@ func TestParallelStatsMatchSerialKernel(t *testing.T) {
 // could recompute or double-count an edge. The grid is 9x130 (3 words per
 // row) so Threads=12 exceeds both the row and the word extent.
 func TestParallelSurplusThreads(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, part := range []Partition{ByRows, ByCols} {
-			mode, part := mode, part
-			t.Run(fmt.Sprintf("%v/%v", mode, part), func(t *testing.T) {
-				g, err := NewGrid(9, 130, mode)
+			ring, part := ring, part
+			t.Run(fmt.Sprintf("%s/%v", ring.name, part), func(t *testing.T) {
+				g, err := NewGrid(9, 130, Torus)
 				if err != nil {
 					t.Fatal(err)
 				}
 				g.Randomize(17, 0.35)
+				ring.lay(g)
 				const gens = 6
 				want, wantUpdates := referenceRun(g, gens)
 				pr := &ParallelRunner{G: g, Threads: 12, partition: part}
@@ -193,16 +236,17 @@ func TestStepBlockEmptyRange(t *testing.T) {
 // Rounds that sum to the reference's, with the runner's own fields never
 // rewritten between calls.
 func TestRunnerMatchesReferenceRunner(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, part := range []Partition{ByRows, ByCols} {
 			for _, threads := range []int{1, 2, 3, 5, 12} {
-				mode, part, threads := mode, part, threads
-				t.Run(fmt.Sprintf("%v/%v/threads-%d", mode, part, threads), func(t *testing.T) {
-					g, err := NewGrid(11, 200, mode)
+				ring, part, threads := ring, part, threads
+				t.Run(fmt.Sprintf("%s/%v/threads-%d", ring.name, part, threads), func(t *testing.T) {
+					g, err := NewGrid(11, 200, Torus)
 					if err != nil {
 						t.Fatal(err)
 					}
 					g.Randomize(23, 0.35)
+					ring.lay(g)
 					want, wantUpdates := referenceRun(g, 6)
 					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
 					var total RunStats

@@ -10,8 +10,8 @@ import (
 )
 
 // Message tags of the halo exchange. They name the direction a halo block
-// travels, so the two blocks a rank exchanges with one neighbor (P = 2
-// under torus wrapping makes the up and down neighbor the same rank) never
+// travels, so the two blocks a rank exchanges with one neighbor (on 2 ranks
+// the ring makes the up and down neighbor the same rank) never
 // cross-match.
 const (
 	distTagUp   = 1 // a rank's top owned rows, sent to the neighbor above
@@ -73,20 +73,15 @@ type DistRunner struct {
 	watchdog time.Duration  // Engine.Watchdog
 }
 
-// distNeighbors returns the ranks above and below a rank, or -1 where no
-// other rank borders it: at a non-torus boundary, and on both sides of a
-// one-rank torus. The kernel synthesizes the ghost row of such an edge
-// from the rank's own buffer, exactly as it does on the full grid.
-func distNeighbors(rank, ranks int, mode EdgeMode) (up, down int) {
-	switch {
-	case ranks == 1:
+// distNeighbors returns the ranks above and below a rank on the ring the
+// torus's rows make, or -1 on both sides in a one-rank world: that rank's
+// band is the whole board, and the kernel wraps it with its own ghost
+// rows, exactly as it does the full grid.
+func distNeighbors(rank, ranks int) (up, down int) {
+	if ranks == 1 {
 		return -1, -1
-	case mode == Torus:
-		return (rank + ranks - 1) % ranks, (rank + 1) % ranks
-	case rank == ranks-1:
-		return rank - 1, -1
 	}
-	return rank - 1, rank + 1
+	return (rank + ranks - 1) % ranks, (rank + 1) % ranks
 }
 
 // traceHandles resolves a rank's lane and the runner's span names —
@@ -116,11 +111,10 @@ func (dr *DistRunner) traceHandles(c *msgpass.Comm) (lane *obs.Lane, nGen, nHalo
 // advances too. After the last window the ranks Allreduce the live-update
 // counts of their owned rows and Gather the bands on rank 0. k rows every
 // k generations is the same number of halo rows as one a generation, so
-// the halo bytes do not change; the messages do. Neighbor ranks wrap into
-// a ring under Torus and fall off the ends otherwise. A rank keeps halo
-// rows only toward a neighbor rank: every other edge (a non-torus
-// boundary, or both sides of a one-rank torus) is the kernel's ghost row
-// for the grid's edge mode, as on the full grid.
+// the halo bytes do not change; the messages do. Neighbor ranks form a
+// ring, as the torus's rows do, so every rank of a world of 2 or more holds
+// halo rows on both sides; a one-rank world holds none, and the kernel's
+// ghost rows wrap its band, as on the full grid.
 //
 // When ctx is canceled mid-run the world aborts, every rank (including
 // ones parked in halo receives or chaos sleeps) unwinds promptly, all rank
@@ -187,7 +181,7 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 	wpr := g.wpr
 	lane, nGen, nHalo := dr.traceHandles(c)
 	rank := c.Rank()
-	up, down := distNeighbors(rank, ranks, g.Mode)
+	up, down := distNeighbors(rank, ranks)
 
 	// Distribute: rank 0 scatters every rank's band of the grid, which no
 	// rank writes during the run, as a view; its own band never leaves it.
@@ -204,26 +198,21 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 		return err
 	}
 
-	// Local shard: the first window's depth of halo rows above the band if
-	// a rank borders it there, the band's owned rows [top, end), and as
-	// many halo rows below if a rank borders it there. No later window is
-	// deeper. Halo rows hold received rows and the ghost rows advanced
-	// from them, never owned ones.
-	depth := haloDepth(n, g.Rows, ranks, wpr)
+	// Local shard: the band's owned rows [top, end) between the first
+	// window's depth of halo rows on each side, where the rank has
+	// neighbors. No later window is deeper. Halo rows hold received rows
+	// and the ghost rows advanced from them, never owned ones.
 	band, top := len(block)/wpr, 0
 	if up >= 0 {
-		top = depth
+		top = haloDepth(n, g.Rows, ranks, wpr)
 	}
 	end := top + band
-	rows := end
-	if down >= 0 {
-		rows += depth
-	}
+	rows := end + top // as many halo rows below the band as above
 	src := make([]uint64, rows*wpr)
 	dst := make([]uint64, rows*wpr)
 	copy(src[top*wpr:], block)
 	step := func(lo, hi int) int64 {
-		return stepPackedSlices(src, dst, g.zeroRow, g.oneRow, rows, g.Cols, wpr, g.Mode, lo, hi, 0, wpr)
+		return stepPackedSlices(src, dst, rows, g.Cols, wpr, lo, hi, 0, wpr)
 	}
 
 	var updates int64
@@ -244,16 +233,13 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 			// generation reads one row past the band, each earlier one a
 			// row further. Only owned rows count toward the live updates;
 			// the neighbor counts its own.
-			lo, hi := top, end
+			ghost := 0
 			if up >= 0 {
-				lo -= k - 1 - j
+				ghost = k - 1 - j
 			}
-			if down >= 0 {
-				hi += k - 1 - j
-			}
-			step(lo, top)
+			step(top-ghost, top)
 			updates += step(top, end)
-			step(end, hi)
+			step(end, end+ghost)
 			lane.End(nGen)
 			src, dst = dst, src
 		}
@@ -290,31 +276,26 @@ func (dr *DistRunner) runRank(c *msgpass.Comm, ranks, n int, stats *RunStats) er
 // inbox depth bounded in RunCtx the symmetric exchange cannot deadlock,
 // and the payloads are copies, so a neighbor may apply them whenever it
 // gets around to its own exchange. The neighbor above's bottom rows arrive
-// as tagDown, the one below's top rows as tagUp.
+// as tagDown, the one below's top rows as tagUp. A rank without neighbors
+// (up < 0) exchanges nothing.
 func exchangeHalos(c *msgpass.Comm, buf []uint64, up, down, top, end, k, wpr int) error {
-	if up >= 0 {
-		if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), buf[top*wpr:(top+k)*wpr]...)); err != nil {
-			return err
-		}
+	if up < 0 {
+		return nil
 	}
-	if down >= 0 {
-		if err := msgpass.Send(c, down, distTagDown, append([]uint64(nil), buf[(end-k)*wpr:end*wpr]...)); err != nil {
-			return err
-		}
+	if err := msgpass.Send(c, up, distTagUp, append([]uint64(nil), buf[top*wpr:(top+k)*wpr]...)); err != nil {
+		return err
 	}
-	if up >= 0 {
-		rows, err := msgpass.Recv[[]uint64](c, up, distTagDown)
-		if err != nil {
-			return err
-		}
-		copy(buf[(top-k)*wpr:top*wpr], rows)
+	if err := msgpass.Send(c, down, distTagDown, append([]uint64(nil), buf[(end-k)*wpr:end*wpr]...)); err != nil {
+		return err
 	}
-	if down >= 0 {
-		rows, err := msgpass.Recv[[]uint64](c, down, distTagUp)
-		if err != nil {
-			return err
-		}
-		copy(buf[end*wpr:(end+k)*wpr], rows)
+	rows, err := msgpass.Recv[[]uint64](c, up, distTagDown)
+	if err != nil {
+		return err
 	}
+	copy(buf[(top-k)*wpr:top*wpr], rows)
+	if rows, err = msgpass.Recv[[]uint64](c, down, distTagUp); err != nil {
+		return err
+	}
+	copy(buf[end*wpr:(end+k)*wpr], rows)
 	return nil
 }

@@ -2,9 +2,9 @@ package life
 
 // Differential equivalence for the distributed runner: row-block sharding
 // plus halo exchange must be bit-for-bit the per-cell reference loop —
-// boards AND live-update statistics — for every edge mode, shape, and rank
-// count, including the surplus-ranks > rows class (the surplus-thread bug
-// class, re-tested here on the message-passing path).
+// boards AND live-update statistics — for every edge ring, shape, and
+// rank count, including the surplus-ranks > rows class (the surplus-thread bug class,
+// re-tested here on the message-passing path).
 
 import (
 	"context"
@@ -14,16 +14,17 @@ import (
 
 func TestDistMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 5}, {5, 2}, {3, 3}, {16, 16}, {13, 31}, {64, 17}}
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, ranks := range []int{1, 2, 8, 16} {
 			for _, sh := range shapes {
-				mode, ranks, rows, cols := mode, ranks, sh[0], sh[1]
-				t.Run(fmt.Sprintf("%v/ranks-%d/%dx%d", mode, ranks, rows, cols), func(t *testing.T) {
-					g, err := NewGrid(rows, cols, mode)
+				ring, ranks, rows, cols := ring, ranks, sh[0], sh[1]
+				t.Run(fmt.Sprintf("%s/ranks-%d/%dx%d", ring.name, ranks, rows, cols), func(t *testing.T) {
+					g, err := NewGrid(rows, cols, Torus)
 					if err != nil {
 						t.Fatal(err)
 					}
 					g.Randomize(42, 0.35)
+					ring.lay(g)
 					const gens = 8
 					want, wantUpdates := referenceRun(g, gens)
 
@@ -44,16 +45,17 @@ func TestDistMatchesReference(t *testing.T) {
 // against each other: same board, same generations — shared-memory threads
 // and message-passing ranks must land on identical grids and statistics.
 func TestDistMatchesParallelRunner(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, workers := range []int{2, 3, 8} {
-			mode, workers := mode, workers
-			t.Run(fmt.Sprintf("%v/workers-%d", mode, workers), func(t *testing.T) {
+			ring, workers := ring, workers
+			t.Run(fmt.Sprintf("%s/workers-%d", ring.name, workers), func(t *testing.T) {
 				mk := func() *Grid {
-					g, err := NewGrid(29, 23, mode)
+					g, err := NewGrid(29, 23, Torus)
 					if err != nil {
 						t.Fatal(err)
 					}
 					g.Randomize(7, 0.3)
+					ring.lay(g)
 					return g
 				}
 				const gens = 6
@@ -82,15 +84,16 @@ func TestDistMatchesParallelRunner(t *testing.T) {
 // (the surplus-worker regression class) and still be bit-for-bit. The
 // clamp is reported in RunStats.Workers; the runner's Ranks stays as set.
 func TestDistSurplusRanks(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, sh := range [][2]int{{1, 9}, {3, 5}, {5, 33}} {
-			mode, rows, cols := mode, sh[0], sh[1]
-			t.Run(fmt.Sprintf("%v/%dx%d/ranks-33", mode, rows, cols), func(t *testing.T) {
-				g, err := NewGrid(rows, cols, mode)
+			ring, rows, cols := ring, sh[0], sh[1]
+			t.Run(fmt.Sprintf("%s/%dx%d/ranks-33", ring.name, rows, cols), func(t *testing.T) {
+				g, err := NewGrid(rows, cols, Torus)
 				if err != nil {
 					t.Fatal(err)
 				}
 				g.Randomize(99, 0.4)
+				ring.lay(g)
 				const gens = 5
 				want, wantUpdates := referenceRun(g, gens)
 

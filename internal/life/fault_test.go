@@ -136,7 +136,7 @@ func TestDistChaosMatrix(t *testing.T) {
 // documents, and every run's measured inbox mark must stay within it.
 func TestDistChaosHaloInboxBound(t *testing.T) {
 	const rows, cols, ranks, gens = 37, 130, 33, 8
-	start, err := NewGrid(rows, cols, DeadEdges)
+	start, err := NewGrid(rows, cols, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}

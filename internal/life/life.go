@@ -23,31 +23,17 @@ import (
 	"cs31/internal/pthread"
 )
 
-// EdgeMode selects boundary behaviour.
+// EdgeMode names a board's boundary. The lab's board is a torus, and it is
+// the only boundary the engines run: NewGrid refuses every other value.
 type EdgeMode int
 
-// Boundary modes: the lab uses a torus; dead edges are the simpler variant
-// students sometimes build first. Alive edges (every out-of-bounds cell is
-// permanently live) and mirror edges (out-of-bounds coordinates clamp to the
-// nearest in-bounds row/column, so the board sees its own reflection) round
-// out the set the packed kernel synthesizes as ghost rows and columns.
-const (
-	Torus EdgeMode = iota
-	DeadEdges
-	AliveEdges
-	MirrorEdges
-)
+// Torus wraps both axes: row -1 is the last row and column -1 the last
+// column, so every cell has eight neighbors, as Labs 6 and 10 assign.
+const Torus EdgeMode = 0
 
 func (m EdgeMode) String() string {
-	switch m {
-	case Torus:
+	if m == Torus {
 		return "torus"
-	case DeadEdges:
-		return "dead-edges"
-	case AliveEdges:
-		return "alive-edges"
-	case MirrorEdges:
-		return "mirror"
 	}
 	return fmt.Sprintf("EdgeMode(%d)", int(m))
 }
@@ -74,29 +60,36 @@ func (p Partition) String() string {
 // parallel, distributed — advances it through the same SWAR kernel.
 type Grid struct {
 	Rows, Cols int
-	Mode       EdgeMode
 	Generation int
 
-	cells   []uint64 // current generation: row r is cells[r*wpr : (r+1)*wpr]
-	next    []uint64 // scratch for the next generation
-	wpr     int      // words per row: (Cols+63)/64
-	zeroRow []uint64 // all-dead row standing in for out-of-bounds rows (DeadEdges)
-	oneRow  []uint64 // all-live row standing in for out-of-bounds rows (AliveEdges)
+	cells []uint64 // current generation: row r is cells[r*wpr : (r+1)*wpr]
+	next  []uint64 // scratch for the next generation
+	wpr   int      // words per row: (Cols+63)/64
 }
 
-// NewGrid allocates an empty grid.
+// maxGridWords bounds each of a grid's two buffers: 1<<27 words is 1 GiB
+// and 2^33 cells, 2,048 boards of 2048x2048.
+const maxGridWords = 1 << 27
+
+// NewGrid allocates an empty torus. It refuses any other mode, and a board
+// whose buffers would exceed maxGridWords words: cols is bounded first, so
+// its word count cannot wrap, and rows by division, so no product can.
 func NewGrid(rows, cols int, mode EdgeMode) (*Grid, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("life: grid %dx%d invalid", rows, cols)
 	}
+	if mode != Torus {
+		return nil, fmt.Errorf("life: %v boundary, the board is a torus: %w", mode, errors.ErrUnsupported)
+	}
+	if cols > 64*maxGridWords || rows > maxGridWords/wordsPerRow(cols) {
+		return nil, fmt.Errorf("life: grid %dx%d exceeds %d words per buffer", rows, cols, maxGridWords)
+	}
 	wpr := wordsPerRow(cols)
 	return &Grid{
-		Rows: rows, Cols: cols, Mode: mode,
-		cells:   make([]uint64, rows*wpr),
-		next:    make([]uint64, rows*wpr),
-		wpr:     wpr,
-		zeroRow: make([]uint64, wpr),
-		oneRow:  liveRow(cols),
+		Rows: rows, Cols: cols,
+		cells: make([]uint64, rows*wpr),
+		next:  make([]uint64, rows*wpr),
+		wpr:   wpr,
 	}, nil
 }
 
@@ -132,12 +125,10 @@ func (g *Grid) Population() int {
 // Clone deep-copies the grid.
 func (g *Grid) Clone() *Grid {
 	return &Grid{
-		Rows: g.Rows, Cols: g.Cols, Mode: g.Mode, Generation: g.Generation,
-		cells:   append([]uint64(nil), g.cells...),
-		next:    make([]uint64, len(g.next)),
-		wpr:     g.wpr,
-		zeroRow: make([]uint64, g.wpr),
-		oneRow:  append([]uint64(nil), g.oneRow...),
+		Rows: g.Rows, Cols: g.Cols, Generation: g.Generation,
+		cells: append([]uint64(nil), g.cells...),
+		next:  make([]uint64, len(g.next)),
+		wpr:   g.wpr,
 	}
 }
 
@@ -155,9 +146,9 @@ func (g *Grid) Equal(o *Grid) bool {
 	return true
 }
 
-// neighbors counts the live neighbors of (r, c) under the edge mode, one
-// Alive call per neighbor — the straight-line Lab 6 definition the packed
-// kernel is differential-tested against; the hot paths never call it.
+// neighbors counts the live neighbors of (r, c) on the torus, one Alive
+// call per neighbor — the straight-line Lab 6 definition the packed kernel
+// is differential-tested against; the hot paths never call it.
 func (g *Grid) neighbors(r, c int) int {
 	n := 0
 	for dr := -1; dr <= 1; dr++ {
@@ -165,47 +156,12 @@ func (g *Grid) neighbors(r, c int) int {
 			if dr == 0 && dc == 0 {
 				continue
 			}
-			rr, cc := r+dr, c+dc
-			oob := rr < 0 || rr >= g.Rows || cc < 0 || cc >= g.Cols
-			switch g.Mode {
-			case Torus:
-				rr = (rr + g.Rows) % g.Rows
-				cc = (cc + g.Cols) % g.Cols
-			case DeadEdges:
-				if oob {
-					continue
-				}
-			case AliveEdges:
-				// Any out-of-bounds coordinate — row, column, or both —
-				// makes the neighbor a permanently live ghost cell.
-				if oob {
-					n++
-					continue
-				}
-			case MirrorEdges:
-				// Row and column clamp independently to the nearest
-				// in-bounds index: the board sees its own reflection.
-				rr = clamp(rr, g.Rows)
-				cc = clamp(cc, g.Cols)
-			}
-			if g.Alive(rr, cc) {
+			if g.Alive((r+dr+g.Rows)%g.Rows, (c+dc+g.Cols)%g.Cols) {
 				n++
 			}
 		}
 	}
 	return n
-}
-
-// clamp maps an out-of-bounds index one step past either end back onto the
-// nearest in-bounds index (mirror reflection across the edge).
-func clamp(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
 
 // stepReference advances one generation through the per-cell Lab 6 loop —
@@ -327,9 +283,9 @@ func ParseConfig(r io.Reader) (*Config, error) {
 	return &cfg, nil
 }
 
-// BuildGrid makes a grid from a parsed config.
-func (cfg *Config) BuildGrid(mode EdgeMode) (*Grid, error) {
-	g, err := NewGrid(cfg.Rows, cfg.Cols, mode)
+// BuildGrid makes a torus from a parsed config.
+func (cfg *Config) BuildGrid() (*Grid, error) {
+	g, err := NewGrid(cfg.Rows, cfg.Cols, Torus)
 	if err != nil {
 		return nil, err
 	}
@@ -600,9 +556,8 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 	}
 	stats := &RunStats{Workers: threads}
 	shards := make([]int64, threads*statShardStride)
-	rows, cols, wpr, mode := g.Rows, g.Cols, g.wpr, g.Mode
+	rows, cols, wpr := g.Rows, g.Cols, g.wpr
 	src0, dst0 := g.cells, g.next
-	zero, one := g.zeroRow, g.oneRow
 	byRows := pr.partition == ByRows
 	var stopRound atomic.Int64
 	stopRound.Store(noStop)
@@ -622,7 +577,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		var updates int64
 		for round := 0; round < n; round++ {
 			lane.Begin(nGen)
-			updates += stepPackedSlices(src, dst, zero, one, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
+			updates += stepPackedSlices(src, dst, rows, cols, wpr, loRow, hiRow, loW, hiW)
 			lane.End(nGen)
 			// One barrier per generation: nobody may read dst as a source
 			// until every tile of it is written. The serial thread

@@ -2,6 +2,8 @@ package life
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +11,7 @@ import (
 
 func TestBlinkerOscillates(t *testing.T) {
 	cfg := Oscillator()
-	g, err := cfg.BuildGrid(Torus)
+	g, err := cfg.BuildGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestBlinkerOscillates(t *testing.T) {
 }
 
 func TestBlockStillLife(t *testing.T) {
-	g, err := NewGrid(4, 4, DeadEdges)
+	g, err := NewGrid(4, 4, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,46 +72,55 @@ func TestGliderMovesOnTorus(t *testing.T) {
 	}
 }
 
+// TestEdgeModes: the board is a torus, so three live cells around one
+// corner wrap into a block across all four corners, and NewGrid refuses
+// every other boundary.
 func TestEdgeModes(t *testing.T) {
-	// Three live cells in a corner behave differently with wraparound.
-	mk := func(mode EdgeMode) *Grid {
-		g, _ := NewGrid(3, 3, mode)
-		g.Set(0, 0, true)
-		g.Set(0, 1, true)
-		g.Set(1, 0, true)
-		return g
+	g, err := NewGrid(5, 5, Torus)
+	if err != nil {
+		t.Fatal(err)
 	}
-	torus := mk(Torus)
-	dead := mk(DeadEdges)
-	torus.Step()
-	dead.Step()
-	if torus.Equal(dead) {
-		t.Error("torus and dead-edge grids should diverge at the corner")
+	for _, rc := range [][2]int{{0, 0}, {0, 4}, {4, 0}} {
+		g.Set(rc[0], rc[1], true)
 	}
-	if Torus.String() != "torus" || DeadEdges.String() != "dead-edges" {
-		t.Error("mode names")
+	g.Step()
+	want := "@...@\n.....\n.....\n.....\n@...@\n"
+	if got := g.String(); got != want {
+		t.Errorf("after one generation:\n%swant:\n%s", got, want)
 	}
-	if AliveEdges.String() != "alive-edges" || MirrorEdges.String() != "mirror" {
-		t.Error("mode names")
+	g.Step()
+	if got := g.String(); got != want {
+		t.Errorf("the corner block is not still:\n%s", got)
 	}
-	// Alive edges feed the corner three live ghosts per out-of-bounds side;
-	// mirror edges reflect it back on itself. All four must disagree with at
-	// least one sibling at this corner.
-	alive := mk(AliveEdges)
-	mirror := mk(MirrorEdges)
-	alive.Step()
-	mirror.Step()
-	if alive.Equal(dead) {
-		t.Error("alive-edge and dead-edge grids should diverge at the corner")
+	if Torus.String() != "torus" {
+		t.Errorf("Torus.String() = %q", Torus.String())
 	}
-	if mirror.Equal(dead) {
-		t.Error("mirror and dead-edge grids should diverge at the corner")
+	for _, mode := range []EdgeMode{-1, 1, 2, 3} {
+		g, err := NewGrid(3, 3, mode)
+		if !errors.Is(err, errors.ErrUnsupported) || g != nil || !strings.Contains(err.Error(), mode.String()) {
+			t.Errorf("NewGrid(3, 3, %v) = %v, %v; want an unsupported-mode error naming it", mode, g, err)
+		}
 	}
 }
 
 func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(0, 5, Torus); err == nil {
-		t.Error("0 rows should fail")
+	// The last four are past maxGridWords words a buffer; the first of
+	// them is 10^8 x 10^8, which made slices too large to allocate.
+	for _, c := range []struct {
+		rows, cols int
+		mode       EdgeMode
+	}{
+		{0, 5, Torus},
+		{5, 0, Torus},
+		{3, 3, EdgeMode(1)},
+		{100_000_000, 100_000_000, Torus},
+		{maxGridWords + 1, 64, Torus},
+		{2, 64 * maxGridWords, Torus},
+		{1, math.MaxInt, Torus},
+	} {
+		if g, err := NewGrid(c.rows, c.cols, c.mode); err == nil || g != nil {
+			t.Errorf("NewGrid(%d, %d, %v) = %v, %v; want an error", c.rows, c.cols, c.mode, g, err)
+		}
 	}
 	g, _ := NewGrid(3, 3, Torus)
 	if err := g.Set(3, 0, true); err == nil {
@@ -128,7 +139,7 @@ func TestParseConfig(t *testing.T) {
 	if cfg.Rows != 5 || cfg.Cols != 4 || cfg.Iters != 10 || len(cfg.Live) != 3 {
 		t.Errorf("config: %+v", cfg)
 	}
-	g, err := cfg.BuildGrid(Torus)
+	g, err := cfg.BuildGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +332,7 @@ func TestRunnerReuseReportsWorkers(t *testing.T) {
 
 func TestLiveUpdatesCounted(t *testing.T) {
 	cfg := Oscillator()
-	g, _ := cfg.BuildGrid(Torus)
+	g, _ := cfg.BuildGrid()
 	pr := &ParallelRunner{G: g, Threads: 2}
 	stats, err := pr.RunCtx(context.Background(), 1)
 	if err != nil {

@@ -19,10 +19,10 @@ package life
 //	N = west(V) + P + east(V),   P = up + down
 //
 // where west/east are the neighbor columns' V planes shifted one lane,
-// taking the adjacent word's edge bit or, at the row's ends, the edge
-// mode's summed ghost column. Two full adders give N's 1s bit x0, its 2s
-// bit t and a carry k worth 4, and the birth/survival rule resolves
-// without a single per-cell branch:
+// taking the adjacent word's edge bit or, at the row's ends, the summed
+// ghost column the torus wraps in from the row's far end. Two full adders
+// give N's 1s bit x0, its 2s bit t and a carry k worth 4, and the
+// birth/survival rule resolves without a single per-cell branch:
 //
 //	next = t &^ k & (x0 | current)
 //
@@ -49,60 +49,27 @@ func lastWordMask(cols int) uint64 {
 	return ^uint64(0)
 }
 
-// liveRow returns an all-live packed row of the given width: the ghost row
-// AliveEdges substitutes for out-of-bounds rows, slack lanes kept zero.
-func liveRow(cols int) []uint64 {
-	row := make([]uint64, wordsPerRow(cols))
-	for i := range row {
-		row[i] = ^uint64(0)
-	}
-	row[len(row)-1] = lastWordMask(cols)
-	return row
-}
-
-// packedRowIn returns packed row r, synthesizing the mode's ghost row when r
-// is out of bounds: the wrapped row under Torus, the all-dead row under
-// DeadEdges, the all-live row under AliveEdges, and the clamped edge row
-// under MirrorEdges. Ghost rows are ready-made buffers (zeroRow, oneRow) or
-// clamped/wrapped views of the board, so the call allocates nothing.
-func packedRowIn(p, zeroRow, oneRow []uint64, rows, wpr int, mode EdgeMode, r int) []uint64 {
-	if r < 0 || r >= rows {
-		switch mode {
-		case Torus:
-			if r < 0 {
-				r = rows - 1
-			} else {
-				r = 0
-			}
-		case DeadEdges:
-			return zeroRow
-		case AliveEdges:
-			return oneRow
-		case MirrorEdges:
-			r = clamp(r, rows)
-		}
+// packedRowIn returns packed row r of p, where the out-of-bounds rows -1 and
+// rows are the torus's ghost rows: the board's last row and its first. A
+// ghost row is a view of the board, so the call allocates nothing.
+func packedRowIn(p []uint64, rows, wpr, r int) []uint64 {
+	switch {
+	case r < 0:
+		r = rows - 1
+	case r >= rows:
+		r = 0
 	}
 	base := r * wpr
 	return p[base : base+wpr]
 }
 
-// packedGhostCols returns the one-bit ghost columns flanking a packed row:
-// west is the cell at column -1, east the cell at column cols (both in lane
-// 0 of the returned words). Under Torus they wrap to the row's far ends,
-// under MirrorEdges they clamp onto the row's own edge cells, and the
-// dead/alive modes are constants. lastLane is (cols-1)&63, the valid lane
-// index of the row's final word.
-func packedGhostCols(row []uint64, mode EdgeMode, lastLane uint) (west, east uint64) {
-	switch mode {
-	case Torus:
-		return row[len(row)-1] >> lastLane & 1, row[0] & 1
-	case DeadEdges:
-		return 0, 0
-	case AliveEdges:
-		return 1, 1
-	default: // MirrorEdges
-		return row[0] & 1, row[len(row)-1] >> lastLane & 1
-	}
+// packedGhostCols returns the one-bit ghost columns flanking a packed row,
+// wrapped from the row's far ends: west is the cell at column -1 (the
+// row's last cell), east the cell at column cols (its first), both in lane
+// 0 of the returned words. lastLane is (cols-1)&63, the valid lane index
+// of the row's final word.
+func packedGhostCols(row []uint64, lastLane uint) (west, east uint64) {
+	return row[len(row)-1] >> lastLane & 1, row[0] & 1
 }
 
 // colSum returns the vertical sum up+cur+down of one word column, lane by
@@ -147,11 +114,11 @@ func lifeWord(u, c, d, w0, w1, e0, e1 uint64) uint64 {
 // in the row, stepVectorRows advances the tile; elsewhere stepScalar does.
 // Both compute the same algebra, so the board and the count do not depend
 // on the path.
-func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW int) int64 {
+func stepPackedSlices(src, dst []uint64, rows, cols, wpr, loRow, hiRow, loW, hiW int) int64 {
 	if run := (min(hiW, wpr-1) - loW - 1) &^ 3; hasVector && run > 0 {
-		return stepVectorRows(src, dst, zeroRow, oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW, run)
+		return stepVectorRows(src, dst, rows, cols, wpr, loRow, hiRow, loW, hiW, run)
 	}
-	return stepScalar(src, dst, zeroRow, oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
+	return stepScalar(src, dst, rows, cols, wpr, loRow, hiRow, loW, hiW)
 }
 
 // stepVectorRows is stepPackedSlices on a tile whose rows hold a vector
@@ -162,7 +129,7 @@ func stepPackedSlices(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, m
 // stepScalar's edge handling rather than share it: a vector call or a
 // branch in stepScalar changes the register allocation of the loop that
 // narrow boards run, and slows them.
-func stepVectorRows(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW, run int) int64 {
+func stepVectorRows(src, dst []uint64, rows, cols, wpr, loRow, hiRow, loW, hiW, run int) int64 {
 	lastLane := uint(cols-1) & 63
 	lastMask := lastWordMask(cols)
 	end := min(hiW, wpr-1)
@@ -171,11 +138,11 @@ func stepVectorRows(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mod
 		base := r * wpr
 		cur := src[base : base+wpr]
 		out := dst[base : base+wpr]
-		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)[:wpr]
-		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)[:wpr]
-		uw, ue := packedGhostCols(up, mode, lastLane)
-		cw, ce := packedGhostCols(cur, mode, lastLane)
-		dw, de := packedGhostCols(down, mode, lastLane)
+		up := packedRowIn(src, rows, wpr, r-1)[:wpr]
+		down := packedRowIn(src, rows, wpr, r+1)[:wpr]
+		uw, ue := packedGhostCols(up, lastLane)
+		cw, ce := packedGhostCols(cur, lastLane)
+		dw, de := packedGhostCols(down, lastLane)
 		var l0, l1 uint64
 		if loW > 0 {
 			l0, l1 = colSum(up[loW-1], cur[loW-1], down[loW-1])
@@ -212,7 +179,7 @@ func stepVectorRows(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mod
 // stepScalar is the SWAR kernel, one word per step of the inner loop, with
 // stepPackedSlices's contract. It is the only path on tiles too narrow
 // for a vector run and on CPUs without the vector pass.
-func stepScalar(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode EdgeMode, loRow, hiRow, loW, hiW int) int64 {
+func stepScalar(src, dst []uint64, rows, cols, wpr, loRow, hiRow, loW, hiW int) int64 {
 	if loRow >= hiRow || loW >= hiW {
 		return 0
 	}
@@ -226,15 +193,14 @@ func stepScalar(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode Ed
 		base := r * wpr
 		cur := src[base : base+wpr]
 		out := dst[base : base+wpr]
-		up := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r-1)[:wpr]
-		down := packedRowIn(src, zeroRow, oneRow, rows, wpr, mode, r+1)[:wpr]
+		up := packedRowIn(src, rows, wpr, r-1)[:wpr]
+		down := packedRowIn(src, rows, wpr, r+1)[:wpr]
 		// Ghost columns are per-row: a ghost row's own ghost corners come
-		// from that row (e.g. the torus corner is the wrapped row's far
-		// cell), matching stepReference's independent row/column mapping
-		// exactly.
-		uw, ue := packedGhostCols(up, mode, lastLane)
-		cw, ce := packedGhostCols(cur, mode, lastLane)
-		dw, de := packedGhostCols(down, mode, lastLane)
+		// from that row (the torus corner is the wrapped row's far cell),
+		// matching stepReference's independent row/column wrap exactly.
+		uw, ue := packedGhostCols(up, lastLane)
+		cw, ce := packedGhostCols(cur, lastLane)
+		dw, de := packedGhostCols(down, lastLane)
 		// l0/l1 is the column sum west of word w, whose lane 63 neighbors
 		// lane 0: the previous word's, or at the row's west edge the
 		// summed ghost column. v0/v1 is word w's own, rolled along the row
@@ -270,5 +236,5 @@ func stepScalar(src, dst, zeroRow, oneRow []uint64, rows, cols, wpr int, mode Ed
 
 // stepPackedBlock runs the SWAR kernel over the grid's own parity buffers.
 func (g *Grid) stepPackedBlock(loRow, hiRow, loW, hiW int) int64 {
-	return stepPackedSlices(g.cells, g.next, g.zeroRow, g.oneRow, g.Rows, g.Cols, g.wpr, g.Mode, loRow, hiRow, loW, hiW)
+	return stepPackedSlices(g.cells, g.next, g.Rows, g.Cols, g.wpr, loRow, hiRow, loW, hiW)
 }

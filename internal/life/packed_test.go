@@ -2,8 +2,8 @@ package life
 
 // Differential equivalence for the bit-packed SWAR kernel on the shapes
 // that stress the packing itself: widths sitting on, one below, and one
-// above the 64-lane word boundary, multi-word rows, and ByCols word tiles.
-// Every engine — serial, parallel tiles, distributed bands — must match
+// above the 64-lane word boundary, multi-word rows, and ByCols word tiles,
+// each from every edge ring (differential_test.go). Every engine — serial, parallel tiles, distributed bands — must match
 // the per-cell reference loop, boards AND live-update statistics.
 
 import (
@@ -19,15 +19,16 @@ func TestPackedStepMatchesReference(t *testing.T) {
 		{13, 31}, {64, 17}, {5, 63}, {5, 64}, {5, 65}, {4, 127}, {3, 130},
 		{3, 385}, {5, 700},
 	}
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, sh := range shapes {
-			mode, rows, cols := mode, sh[0], sh[1]
-			t.Run(fmt.Sprintf("%v/%dx%d", mode, rows, cols), func(t *testing.T) {
-				g, err := NewGrid(rows, cols, mode)
+			rows, cols := sh[0], sh[1]
+			t.Run(fmt.Sprintf("%s/%dx%d", ring.name, rows, cols), func(t *testing.T) {
+				g, err := NewGrid(rows, cols, Torus)
 				if err != nil {
 					t.Fatal(err)
 				}
 				g.Randomize(42, 0.35)
+				ring.lay(g)
 				const gens = 8
 				want, wantUpdates := referenceRun(g, gens)
 				if got := g.RunCounted(gens); got != wantUpdates {
@@ -52,13 +53,14 @@ func TestPackedStepMatchesReference(t *testing.T) {
 // a scalar tail before the row's last two words.
 func TestStepTileMatchesReference(t *testing.T) {
 	const sentinel = 0xa5a5_5a5a_c3c3_3c3c
-	for _, mode := range allModes {
+	for ri, ring := range edgeRings {
 		for _, cols := range []int{1, 63, 64, 65, 127, 130, 200, 385, 449, 640, 1000} {
-			start, err := NewGrid(7, cols, mode)
+			start, err := NewGrid(7, cols, Torus)
 			if err != nil {
 				t.Fatal(err)
 			}
-			start.Randomize(int64(cols)*7+int64(mode), 0.4)
+			start.Randomize(int64(cols)*7+int64(ri), 0.4)
+			ring.lay(start)
 			ref := start.Clone()
 			ref.stepReference()
 			rows, wpr := start.Rows, start.wpr
@@ -78,7 +80,7 @@ func TestStepTileMatchesReference(t *testing.T) {
 			}
 			for _, tile := range tiles {
 				loRow, hiRow, loW, hiW := tile.loRow, tile.hiRow, tile.loW, tile.hiW
-				t.Run(fmt.Sprintf("%v/cols-%d/%s", mode, cols, tile.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/cols-%d/%s", ring.name, cols, tile.name), func(t *testing.T) {
 					g := start.Clone()
 					for i := range g.next {
 						g.next[i] = sentinel
@@ -115,23 +117,24 @@ func TestStepTileMatchesReference(t *testing.T) {
 
 // TestPackedRaggedWidthsMatchesReference is the ragged-width property
 // sweep: widths sitting exactly on, one below, and one above the 64-lane
-// word boundary (plus multi-word raggeds) across every edge mode and
-// several densities, each run on all three engines. These widths exercise
+// word boundary (plus multi-word raggeds) from every edge ring at several
+// densities, each run on all three engines. These widths exercise
 // the last-word mask, the slack-lane invariant, the ghost-column injection
 // at lastLane, and the seams between ByCols word tiles. At 449 and 833
 // columns full rows hold a vector run before a ragged last word, and at
 // 833 two of the three ByCols tiles hold one too.
 func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, cols := range []int{1, 63, 64, 65, 127, 130, 449, 833} {
 			for _, density := range []float64{0.1, 0.5, 0.9} {
-				mode, cols, density := mode, cols, density
-				t.Run(fmt.Sprintf("%v/cols-%d/d%.0f", mode, cols, density*10), func(t *testing.T) {
-					start, err := NewGrid(9, cols, mode)
+				ring, cols, density := ring, cols, density
+				t.Run(fmt.Sprintf("%s/cols-%d/d%.0f", ring.name, cols, density*10), func(t *testing.T) {
+					start, err := NewGrid(9, cols, Torus)
 					if err != nil {
 						t.Fatal(err)
 					}
 					start.Randomize(int64(cols)*31+int64(density*10), density)
+					ring.lay(start)
 					const gens = 6
 					want, wantUpdates := referenceRun(start, gens)
 
@@ -163,18 +166,19 @@ func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 }
 
 func TestPackedParallelMatchesReference(t *testing.T) {
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, part := range []Partition{ByRows, ByCols} {
 			for _, threads := range []int{1, 2, 8, 16, 33} {
-				mode, part, threads := mode, part, threads
-				t.Run(fmt.Sprintf("%v/%v/threads-%d", mode, part, threads), func(t *testing.T) {
+				ring, part, threads := ring, part, threads
+				t.Run(fmt.Sprintf("%s/%v/threads-%d", ring.name, part, threads), func(t *testing.T) {
 					// 19x130 : three words per row, so ByCols word-block tiling
 					// has real interior seams; 33 threads exceeds both extents.
-					g, err := NewGrid(19, 130, mode)
+					g, err := NewGrid(19, 130, Torus)
 					if err != nil {
 						t.Fatal(err)
 					}
 					g.Randomize(7, 0.3)
+					ring.lay(g)
 					const gens = 6
 					want, wantUpdates := referenceRun(g, gens)
 					pr := &ParallelRunner{G: g, Threads: threads, partition: part}
@@ -191,7 +195,7 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 }
 
 // TestPackedDistMatchesReference holds the dist engine to the reference
-// across modes, rank counts and shapes. The depth of its exchange windows
+// across edge rings, rank counts and shapes. The depth of its exchange windows
 // varies with them: 8 generations are one window where the bands allow,
 // 33 ranks on 37 rows leave bands of 1 row and windows of 1, and 40x2100,
 // 33 words a row, is where the width term binds: k = 2, four windows. The
@@ -199,16 +203,17 @@ func TestPackedParallelMatchesReference(t *testing.T) {
 func TestPackedDistMatchesReference(t *testing.T) {
 	shapes := [][2]int{{1, 1}, {7, 65}, {16, 16}, {37, 130}, {40, 2100}}
 	const gens = 8
-	for _, mode := range allModes {
+	for _, ring := range edgeRings {
 		for _, sh := range shapes {
-			start, err := NewGrid(sh[0], sh[1], mode)
+			start, err := NewGrid(sh[0], sh[1], Torus)
 			if err != nil {
 				t.Fatal(err)
 			}
 			start.Randomize(42, 0.35)
+			ring.lay(start)
 			want, wantUpdates := referenceRun(start, gens)
 			for _, ranks := range []int{1, 2, 4, 8, 33} {
-				t.Run(fmt.Sprintf("%v/ranks-%d/%dx%d", mode, ranks, sh[0], sh[1]), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/ranks-%d/%dx%d", ring.name, ranks, sh[0], sh[1]), func(t *testing.T) {
 					g := start.Clone()
 					dr := &DistRunner{G: g, Ranks: ranks}
 					stats, err := dr.RunCtx(context.Background(), gens)
@@ -307,14 +312,16 @@ func TestPackRoundTrip(t *testing.T) {
 
 // TestPackedSlackLanesStayZero guards the representation invariant every
 // shifted gather relies on: after Randomize and after stepping, the slack
-// lanes of each row's final word are zero.
+// lanes of each row's final word are zero. The rows start all live, which
+// presses hardest on the mask: the first slack lane then has three live
+// neighbors in the column west of it, a birth unless the mask clears it.
 func TestPackedSlackLanesStayZero(t *testing.T) {
 	for _, cols := range []int{1, 63, 65, 130} {
-		g, err := NewGrid(8, cols, AliveEdges) // alive ghosts press hardest on the mask
+		g, err := NewGrid(8, cols, Torus)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Randomize(9, 0.5)
+		g.Randomize(9, 1)
 		mask := lastWordMask(cols)
 		for step := 0; step <= 5; step++ {
 			for r := 0; r < g.Rows; r++ {
@@ -407,7 +414,7 @@ func TestVectorRunMatchesScalar(t *testing.T) {
 		// Row 1 of a three-row board: its up and down rows are rows 0
 		// and 2, and words w..w+n-1 never reach a ghost column.
 		gotN := vectorRun(src[:wpr], src[wpr:2*wpr], src[2*wpr:], got[wpr:2*wpr], w, n)
-		wantN := stepScalar(src, want, nil, nil, 3, wpr*64, wpr, Torus, 1, 2, w, w+n)
+		wantN := stepScalar(src, want, 3, wpr*64, wpr, 1, 2, w, w+n)
 		if gotN != wantN {
 			t.Fatalf("trial %d, %d words, run [%d,%d): vectorRun counted %d, stepScalar %d", trial, wpr, w, w+n, gotN, wantN)
 		}
@@ -419,8 +426,7 @@ func TestVectorRunMatchesScalar(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		rows, cols := 1+rng.Intn(10), 1+rng.Intn(1200)
-		mode := allModes[rng.Intn(len(allModes))]
-		g, err := NewGrid(rows, cols, mode)
+		g, err := NewGrid(rows, cols, Torus)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,9 +435,9 @@ func TestVectorRunMatchesScalar(t *testing.T) {
 		loRow, loW := rng.Intn(rows), rng.Intn(wpr)
 		hiRow, hiW := loRow+1+rng.Intn(rows-loRow), loW+1+rng.Intn(wpr-loW)
 		got, want := sentinels(len(g.cells)), sentinels(len(g.cells))
-		gotN := stepPackedSlices(g.cells, got, g.zeroRow, g.oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
-		wantN := stepScalar(g.cells, want, g.zeroRow, g.oneRow, rows, cols, wpr, mode, loRow, hiRow, loW, hiW)
-		label := fmt.Sprintf("%dx%d %v tile rows [%d,%d) words [%d,%d)", rows, cols, mode, loRow, hiRow, loW, hiW)
+		gotN := stepPackedSlices(g.cells, got, rows, cols, wpr, loRow, hiRow, loW, hiW)
+		wantN := stepScalar(g.cells, want, rows, cols, wpr, loRow, hiRow, loW, hiW)
+		label := fmt.Sprintf("%dx%d tile rows [%d,%d) words [%d,%d)", rows, cols, loRow, hiRow, loW, hiW)
 		if gotN != wantN {
 			t.Fatalf("%s: stepPackedSlices counted %d, stepScalar %d", label, gotN, wantN)
 		}
@@ -444,36 +450,36 @@ func TestVectorRunMatchesScalar(t *testing.T) {
 }
 
 // FuzzPackedLife holds every engine bit-for-bit to the per-cell reference
-// loop — boards and live updates — across fuzzer-chosen shapes, modes,
-// densities, worker counts and generation counts (1-12), so the dist
-// engine runs several exchange windows of every depth its rule allows.
-// Widths reach 896 columns (14 words), where rows have vector runs; past
-// 140 columns the row count shrinks with the width, so one input stays
-// near 48x140 cells. Seed #4 is 20 rows on 4 ranks for 12 generations:
-// windows of 5+5+2. Seed #5 is 8x800 (13 words) on 2 ByCols workers, so
-// each tile holds a vector run and a scalar tail.
+// loop — boards and live updates — across fuzzer-chosen shapes, densities, worker
+// counts and generation counts (1-12), so the dist engine runs several
+// exchange windows of every depth its rule allows. Widths reach 896
+// columns (14 words), where rows have vector runs; past 140 columns the
+// row count shrinks with the width, so one input stays near 48x140 cells.
+// Seed #1 is 2x66 on dist/4 (two 1-row bands), where an off-by-one in the
+// owned edge rows a rank sends shows. Seed #4 is 20 rows on 4 ranks for 12
+// generations: windows of 5+5+2. Seed #5 is 8x800 (13 words) on 2 ByCols
+// workers, so each tile holds a vector run and a scalar tail.
 func FuzzPackedLife(f *testing.F) {
-	f.Add(uint8(3), uint16(3), uint8(0), int64(1), uint8(128), uint8(2), uint8(2))
-	f.Add(uint8(1), uint16(65), uint8(1), int64(42), uint8(64), uint8(3), uint8(2))
-	f.Add(uint8(9), uint16(127), uint8(2), int64(7), uint8(200), uint8(8), uint8(2))
-	f.Add(uint8(16), uint16(64), uint8(3), int64(99), uint8(25), uint8(5), uint8(2))
-	f.Add(uint8(19), uint16(69), uint8(1), int64(23), uint8(90), uint8(3), uint8(11))
-	f.Add(uint8(40), uint16(799), uint8(3), int64(5), uint8(90), uint8(9), uint8(5))
-	f.Fuzz(func(t *testing.T, rowsB uint8, colsB uint16, modeB uint8, seed int64, densityB, workersB, gensB uint8) {
+	f.Add(uint8(3), uint16(3), int64(1), uint8(128), uint8(2), uint8(2))
+	f.Add(uint8(1), uint16(65), int64(42), uint8(64), uint8(3), uint8(2))
+	f.Add(uint8(9), uint16(127), int64(7), uint8(200), uint8(8), uint8(2))
+	f.Add(uint8(16), uint16(64), int64(99), uint8(25), uint8(5), uint8(2))
+	f.Add(uint8(19), uint16(69), int64(23), uint8(90), uint8(3), uint8(11))
+	f.Add(uint8(40), uint16(799), int64(5), uint8(90), uint8(9), uint8(5))
+	f.Fuzz(func(t *testing.T, rowsB uint8, colsB uint16, seed int64, densityB, workersB, gensB uint8) {
 		cols := int(colsB)%896 + 1
 		rows := int(rowsB)%48*140/max(cols, 140) + 1
-		mode := EdgeMode(int(modeB) % 4)
 		density := float64(densityB) / 255
 		workers := int(workersB)%8 + 1
 		part := Partition(int(workersB) / 8 % 2)
 		gens := int(gensB)%12 + 1
-		start, err := NewGrid(rows, cols, mode)
+		start, err := NewGrid(rows, cols, Torus)
 		if err != nil {
 			t.Fatal(err)
 		}
 		start.Randomize(seed, density)
 		want, wantUpdates := referenceRun(start, gens)
-		label := fmt.Sprintf("%dx%d %v", rows, cols, mode)
+		label := fmt.Sprintf("%dx%d", rows, cols)
 
 		g := start.Clone()
 		if got := g.RunCounted(gens); got != wantUpdates || !g.Equal(want) {

@@ -21,6 +21,15 @@ type PTE struct {
 // Pid identifies a process.
 type Pid int
 
+// Bounds on what a simulated machine allocates, which labd and cmd/vmsim
+// check before they build one: a frame table of NumFrames entries, a TLB
+// of TLBSize entries, and a page table of NumPages entries per process.
+const (
+	MaxFrames      = 1 << 12
+	MaxTLBEntries  = 1 << 10
+	MaxPageEntries = 1 << 20 // NumPages times the number of processes
+)
+
 // Config describes the simulated machine.
 type Config struct {
 	PageSize  uint64 // bytes; must be a power of two
