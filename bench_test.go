@@ -95,7 +95,7 @@ func BenchmarkLifeSpeedup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if threads == 1 {
-					g.Step()
+					g.Run(1)
 					continue
 				}
 				pr := &life.ParallelRunner{G: g, Threads: threads}
@@ -378,7 +378,7 @@ func BenchmarkBarrierWait(b *testing.B) {
 }
 
 // BenchmarkLifeEngines times the three Game of Life engines — serial
-// Grid.RunCounted, the 8-thread ParallelRunner (Lab 10's sharded-stats,
+// Grid.Run, the 8-thread ParallelRunner (Lab 10's sharded-stats,
 // one-barrier-per-generation runner) and the 8-rank message-passing
 // DistRunner — on one workload: a 4-generation run on a fresh clone of the
 // same seeded 192x192 torus board. All three advance the bit-packed board
@@ -404,7 +404,7 @@ func BenchmarkLifeEngines(b *testing.B) {
 			b.StopTimer()
 			g := template.Clone()
 			b.StartTimer()
-			updates = g.RunCounted(gens)
+			updates = g.Run(gens)
 		}
 		b.ReportMetric(float64(updates), "live-updates")
 	})
@@ -444,7 +444,7 @@ func BenchmarkLifeEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkLifeStep times one serial generation, Grid.Step, on a seeded
+// BenchmarkLifeStep times one serial generation, Grid.Run(1), on a seeded
 // density-0.3 torus at the widths the workloads use: labd's small life
 // requests (32²), the classroom mix's largest board (256²) and
 // cs31bench's life-large board (2048², above the per-core L2). The kernel
@@ -459,11 +459,11 @@ func BenchmarkLifeStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			g.Randomize(31, 0.3)
-			updates := g.Clone().RunCounted(1)
+			updates := g.Clone().Run(1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.Step()
+				g.Run(1)
 			}
 			b.ReportMetric(float64(updates), "gen1-updates")
 		})

@@ -71,7 +71,7 @@ func TestClaimC1Shape(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial.Randomize(7, 0.3)
-		want[sz] = sweep.LifeResult{LiveUpdates: serial.RunCounted(10), Population: serial.Population()}
+		want[sz] = sweep.LifeResult{LiveUpdates: serial.Run(10), Population: serial.Population()}
 	}
 	cases := sweep.LifeGrid(sizes, []int{2, 4, 8, 16}, []life.Partition{life.ByRows, life.ByCols}, 10, 7, 0.3)
 	results, err := sweep.RunLifeGrid(context.Background(), 4, cases)

@@ -1,7 +1,7 @@
 package life
 
-// Differential equivalence: the SWAR kernel behind Step, RunCounted, and
-// the ParallelRunner tiles must be bit-for-bit identical to the per-cell
+// Differential equivalence: the SWAR kernel behind Grid.Run and the
+// ParallelRunner tiles must be bit-for-bit identical to the per-cell
 // Lab 6 loop (stepReference) — boards AND live-update counts — for every
 // edge ring, partition, grid shape (including degenerate 1xN / Nx1 / 2x2
 // grids where torus wrapping double-counts neighbors), and over many
@@ -107,7 +107,7 @@ func TestStepMatchesReference(t *testing.T) {
 				ring.lay(g)
 				ref := g.Clone()
 				for gen := 1; gen <= 8; gen++ {
-					g.Step()
+					g.Run(1)
 					ref.stepReference()
 					gridsMatch(t, fmt.Sprintf("serial kernel, generation %d", gen), g, ref)
 					if t.Failed() {
@@ -269,8 +269,8 @@ func TestRunnerMatchesReferenceRunner(t *testing.T) {
 	}
 }
 
-// TestRunCountedMatchesParallelStats pins Grid.RunCounted — the serial twin
-// of LiveUpdates — to the parallel reduction.
+// TestRunCountedMatchesParallelStats pins the count Grid.Run returns — the
+// serial twin of LiveUpdates — to the parallel reduction.
 func TestRunCountedMatchesParallelStats(t *testing.T) {
 	g, err := NewGrid(17, 13, Torus)
 	if err != nil {
@@ -284,10 +284,10 @@ func TestRunCountedMatchesParallelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counted := serial.RunCounted(gens); counted != stats.LiveUpdates {
-		t.Errorf("RunCounted = %d, parallel LiveUpdates = %d", counted, stats.LiveUpdates)
+	if counted := serial.Run(gens); counted != stats.LiveUpdates {
+		t.Errorf("Run = %d, parallel LiveUpdates = %d", counted, stats.LiveUpdates)
 	}
-	gridsMatch(t, "RunCounted grid", serial, g)
+	gridsMatch(t, "Run grid", serial, g)
 }
 
 // TestParallelRunAllocations pins the per-generation allocation count of
@@ -316,15 +316,16 @@ func TestParallelRunAllocations(t *testing.T) {
 	}
 }
 
-// TestStepAllocates pins the zero-allocation property of the serial kernel.
+// TestStepAllocates pins the zero-allocation property of the serial kernel,
+// one Run(1) generation at a time.
 func TestStepAllocates(t *testing.T) {
 	g, err := NewGrid(64, 64, Torus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Randomize(3, 0.3)
-	avg := testing.AllocsPerRun(50, func() { g.Step() })
+	avg := testing.AllocsPerRun(50, func() { g.Run(1) })
 	if avg != 0 {
-		t.Errorf("Step allocates %.1f objects per generation, want 0", avg)
+		t.Errorf("Run(1) allocates %.1f objects per generation, want 0", avg)
 	}
 }

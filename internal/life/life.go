@@ -194,26 +194,13 @@ func (g *Grid) swap() {
 	g.Generation++
 }
 
-// Step advances one generation serially (Lab 6) through the SWAR kernel —
+// Run advances n generations serially (Lab 6) through the SWAR kernel —
 // the same kernel the parallel tiles and distributed bands run, so
-// measured speedups are against a fast serial baseline.
-func (g *Grid) Step() {
-	g.stepPackedBlock(0, g.Rows, 0, g.wpr)
-	g.swap()
-}
-
-// Run advances n generations serially.
-func (g *Grid) Run(n int) {
-	for i := 0; i < n; i++ {
-		g.Step()
-	}
-}
-
-// RunCounted advances n generations serially and reports how many cells
-// changed state in total — the serial twin of the parallel runner's
-// LiveUpdates statistic, recovered from a popcount of each word's change
-// mask.
-func (g *Grid) RunCounted(n int) int64 {
+// measured speedups are against a fast serial baseline — and reports how
+// many cells changed state in total: the serial twin of the parallel
+// runner's LiveUpdates statistic, recovered from a popcount of each
+// word's change mask.
+func (g *Grid) Run(n int) int64 {
 	var changed int64
 	for i := 0; i < n; i++ {
 		changed += g.stepPackedBlock(0, g.Rows, 0, g.wpr)
@@ -413,7 +400,7 @@ func enter(ctx context.Context, engine string, workers, n int) (context.Context,
 }
 
 // serialPollGens is how many generations the serial engine runs between
-// ctx polls: Step has no cancellation point of its own, so a canceled run
+// ctx polls: Run has no cancellation point of its own, so a canceled run
 // stops on the next multiple of serialPollGens.
 const serialPollGens = 8
 
@@ -454,8 +441,7 @@ func Advance(ctx context.Context, g *Grid, e Engine, n int) (*RunStats, error) {
 			return nil, fmt.Errorf("life: serial run canceled after %d of %d generations: %w", gen, n, ctx.Err())
 		}
 		lane.Begin(nGen)
-		updates += g.stepPackedBlock(0, g.Rows, 0, g.wpr)
-		g.swap()
+		updates += g.Run(1)
 		lane.End(nGen)
 		if e.OnRound != nil {
 			e.OnRound(g)
@@ -463,11 +449,6 @@ func Advance(ctx context.Context, g *Grid, e Engine, n int) (*RunStats, error) {
 	}
 	return &RunStats{LiveUpdates: updates, Rounds: n, Workers: 1}, nil
 }
-
-// statShardStride spaces per-thread LiveUpdates accumulators a cache line
-// apart (8 int64s = 64 bytes, matching pthread.Sharded), so the one store
-// each worker issues after its loop never false-shares with a neighbor.
-const statShardStride = 8
 
 // ParallelRunner is the parallel engine (Lab 10): worker threads that each
 // own a tile of the grid. Advance builds one for every caller in this
@@ -555,7 +536,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		}
 	}
 	stats := &RunStats{Workers: threads}
-	shards := make([]int64, threads*statShardStride)
+	shards := make([]int64, threads*pthread.ShardStride)
 	rows, cols, wpr := g.Rows, g.Cols, g.wpr
 	src0, dst0 := g.cells, g.next
 	byRows := pr.partition == ByRows
@@ -608,7 +589,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 				break
 			}
 		}
-		shards[id*statShardStride] = updates
+		shards[id*pthread.ShardStride] = updates
 		return nil
 	}
 
@@ -616,7 +597,7 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 		return nil, err
 	}
 	for id := 0; id < threads; id++ {
-		stats.LiveUpdates += shards[id*statShardStride]
+		stats.LiveUpdates += shards[id*pthread.ShardStride]
 	}
 	if stopRound.Load() != noStop {
 		return nil, fmt.Errorf("life: parallel run canceled after %d of %d rounds: %w", stats.Rounds, n, ctx.Err())

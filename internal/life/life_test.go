@@ -16,7 +16,7 @@ func TestBlinkerOscillates(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := g.Clone()
-	g.Step()
+	g.Run(1)
 	// Horizontal blinker becomes vertical.
 	for _, rc := range [][2]int{{1, 2}, {2, 2}, {3, 2}} {
 		if !g.Alive(rc[0], rc[1]) {
@@ -26,7 +26,7 @@ func TestBlinkerOscillates(t *testing.T) {
 	if g.Population() != 3 {
 		t.Errorf("population = %d", g.Population())
 	}
-	g.Step()
+	g.Run(1)
 	if !g.Equal(start) {
 		t.Errorf("blinker should return to start after two steps:\n%s", g)
 	}
@@ -83,12 +83,12 @@ func TestEdgeModes(t *testing.T) {
 	for _, rc := range [][2]int{{0, 0}, {0, 4}, {4, 0}} {
 		g.Set(rc[0], rc[1], true)
 	}
-	g.Step()
+	g.Run(1)
 	want := "@...@\n.....\n.....\n.....\n@...@\n"
 	if got := g.String(); got != want {
 		t.Errorf("after one generation:\n%swant:\n%s", got, want)
 	}
-	g.Step()
+	g.Run(1)
 	if got := g.String(); got != want {
 		t.Errorf("the corner block is not still:\n%s", got)
 	}
@@ -349,7 +349,7 @@ func BenchmarkLifeSerial64(b *testing.B) {
 	g.Randomize(1, 0.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Step()
+		g.Run(1)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestPackedStepMatchesReference(t *testing.T) {
 				ring.lay(g)
 				const gens = 8
 				want, wantUpdates := referenceRun(g, gens)
-				if got := g.RunCounted(gens); got != wantUpdates {
+				if got := g.Run(gens); got != wantUpdates {
 					t.Errorf("packed live updates %d, reference counted %d", got, wantUpdates)
 				}
 				gridsMatch(t, "packed serial kernel", g, want)
@@ -139,7 +139,7 @@ func TestPackedRaggedWidthsMatchesReference(t *testing.T) {
 					want, wantUpdates := referenceRun(start, gens)
 
 					g := start.Clone()
-					if got := g.RunCounted(gens); got != wantUpdates {
+					if got := g.Run(gens); got != wantUpdates {
 						t.Errorf("serial: live updates %d, reference counted %d", got, wantUpdates)
 					}
 					gridsMatch(t, "serial", g, want)
@@ -329,7 +329,7 @@ func TestPackedSlackLanesStayZero(t *testing.T) {
 					t.Fatalf("cols=%d generation %d row %d: slack lanes set in %#x (mask %#x)", cols, g.Generation, r, w, mask)
 				}
 			}
-			g.Step()
+			g.Run(1)
 		}
 	}
 }
@@ -344,7 +344,7 @@ func TestPackedClonePreservesRepresentation(t *testing.T) {
 	g.Randomize(21, 0.4)
 	c := g.Clone()
 	gridsMatch(t, "packed clone", c, g)
-	c.Step()
+	c.Run(1)
 	if c.Equal(g) {
 		t.Error("stepping the clone mutated the original (shared packed buffers?)")
 	}
@@ -360,8 +360,8 @@ func TestPackedStepAllocates(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Randomize(3, 0.3)
-		if avg := testing.AllocsPerRun(50, func() { g.Step() }); avg != 0 {
-			t.Errorf("packed Step at 64x%d allocates %.1f objects per generation, want 0", cols, avg)
+		if avg := testing.AllocsPerRun(50, func() { g.Run(1) }); avg != 0 {
+			t.Errorf("packed Run(1) at 64x%d allocates %.1f objects per generation, want 0", cols, avg)
 		}
 	}
 }
@@ -482,7 +482,7 @@ func FuzzPackedLife(f *testing.F) {
 		label := fmt.Sprintf("%dx%d", rows, cols)
 
 		g := start.Clone()
-		if got := g.RunCounted(gens); got != wantUpdates || !g.Equal(want) {
+		if got := g.Run(gens); got != wantUpdates || !g.Equal(want) {
 			t.Errorf("%s serial: live updates %d (reference %d), boards equal %v", label, got, wantUpdates, g.Equal(want))
 		}
 		g = start.Clone()

@@ -129,7 +129,7 @@ func TestDistRunnerTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refUpdates := ref.RunCounted(gens)
+	refUpdates := ref.Run(gens)
 	if !g.Equal(ref) || stats.LiveUpdates != refUpdates {
 		t.Fatalf("traced run diverged from serial reference")
 	}

@@ -10,8 +10,8 @@ import (
 // serializes through twice per round. It is retained verbatim as the
 // differential-test reference for Barrier — same constructor contract,
 // same Wait/Rounds semantics, same PTHREAD_BARRIER_SERIAL_THREAD
-// convention — and as the synchronization layer of the reference parallel
-// life runner the benchmarks compare against.
+// convention — and as the "ref" side of BenchmarkBarrierWait, which times
+// a crossing of each.
 type RefBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

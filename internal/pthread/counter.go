@@ -37,7 +37,13 @@ type CounterResult struct {
 // LostUpdates is Expected - Final (positive only for racy runs).
 func (r CounterResult) LostUpdates() int64 { return r.Expected - r.Final }
 
-// RunCounter performs the experiment.
+// ShardStride spaces per-thread accumulators one cache line apart (8
+// int64s = 64 bytes): slot id*ShardStride of a shared slice is thread id's,
+// so no two threads' stores false-share a line.
+const ShardStride = 8
+
+// RunCounter performs the experiment: the mode picks each thread's body
+// and how the final count is read, and one ForkJoin runs the threads.
 func RunCounter(mode CounterMode, threads, perThread int) (CounterResult, error) {
 	if threads < 1 || perThread < 1 {
 		return CounterResult{}, fmt.Errorf("pthread: counter needs positive threads and count")
@@ -46,97 +52,69 @@ func RunCounter(mode CounterMode, threads, perThread int) (CounterResult, error)
 		Mode: mode, Threads: threads, PerEach: perThread,
 		Expected: int64(threads) * int64(perThread),
 	}
+	var body func(id int) error
+	var final func() int64
 	switch mode {
 	case Racy:
 		// Intentionally unsynchronized: the classic lost-update race. The
 		// counter is read and written non-atomically from many goroutines.
 		var counter int64
-		ts := make([]*Thread, threads)
-		for i := range ts {
-			ts[i] = Create(func() interface{} {
-				for j := 0; j < perThread; j++ {
-					counter = counter + 1 // data race, on purpose
-				}
-				return nil
-			})
-		}
-		for _, t := range ts {
-			if _, err := t.Join(); err != nil {
-				return res, err
+		body = func(int) error {
+			for j := 0; j < perThread; j++ {
+				counter = counter + 1 // data race, on purpose
 			}
+			return nil
 		}
-		res.Final = counter
+		final = func() int64 { return counter }
 
 	case Mutexed:
 		var counter int64
 		mu := NewMutex("counter")
-		ts := make([]*Thread, threads)
-		for i := range ts {
-			ts[i] = Create(func() interface{} {
-				for j := 0; j < perThread; j++ {
-					if err := mu.Lock(); err != nil {
-						return err
-					}
-					counter++
-					if err := mu.Unlock(); err != nil {
-						return err
-					}
+		body = func(int) error {
+			for j := 0; j < perThread; j++ {
+				if err := mu.Lock(); err != nil {
+					return err
 				}
-				return nil
-			})
-		}
-		for _, t := range ts {
-			v, err := t.Join()
-			if err != nil {
-				return res, err
+				counter++
+				if err := mu.Unlock(); err != nil {
+					return err
+				}
 			}
-			if e, ok := v.(error); ok && e != nil {
-				return res, e
-			}
+			return nil
 		}
-		res.Final = counter
+		final = func() int64 { return counter }
 
 	case Atomic:
 		var counter atomic.Int64
-		ts := make([]*Thread, threads)
-		for i := range ts {
-			ts[i] = Create(func() interface{} {
-				for j := 0; j < perThread; j++ {
-					counter.Add(1)
-				}
-				return nil
-			})
-		}
-		for _, t := range ts {
-			if _, err := t.Join(); err != nil {
-				return res, err
+		body = func(int) error {
+			for j := 0; j < perThread; j++ {
+				counter.Add(1)
 			}
+			return nil
 		}
-		res.Final = counter.Load()
+		final = counter.Load
 
 	case Sharded:
-		shards := make([]int64, threads*8) // padded to separate cache lines
-		ts := make([]*Thread, threads)
-		for i := range ts {
-			slot := i * 8
-			ts[i] = Create(func() interface{} {
-				for j := 0; j < perThread; j++ {
-					shards[slot]++
-				}
-				return nil
-			})
-		}
-		for _, t := range ts {
-			if _, err := t.Join(); err != nil {
-				return res, err
+		shards := make([]int64, threads*ShardStride)
+		body = func(id int) error {
+			for j := 0; j < perThread; j++ {
+				shards[id*ShardStride]++
 			}
+			return nil
 		}
-		for i := 0; i < threads; i++ {
-			res.Final += shards[i*8]
+		final = func() (sum int64) {
+			for id := 0; id < threads; id++ {
+				sum += shards[id*ShardStride]
+			}
+			return sum
 		}
 
 	default:
 		return res, fmt.Errorf("pthread: unknown counter mode %d", mode)
 	}
+	if err := ForkJoin(threads, body); err != nil {
+		return res, err
+	}
+	res.Final = final()
 	return res, nil
 }

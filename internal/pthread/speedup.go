@@ -71,13 +71,6 @@ func BlockRange(id, parties, n int) (lo, hi int) {
 	return lo, lo + size
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ParallelFor runs body(i) for i in [0, n) across parties threads using
 // block partitioning (ForkJoin: the caller runs the first block) — the
 // parallel-loop idiom the course builds the Game of Life lab on.

@@ -101,8 +101,9 @@ func merge(a []int, mid int, scratch []int) {
 }
 
 // ParallelMerge sorts using threads worker threads: the slice is block-
-// partitioned, each block sorted in its own thread, then blocks are merged
-// pairwise in parallel rounds — a straightforward data-parallel
+// partitioned, each block sorted by its own id of one pthread.ForkJoin (the
+// caller takes block 0), then blocks are merged pairwise in parallel
+// rounds, one ForkJoin each — a straightforward data-parallel
 // decomposition in the style of the course's Game of Life lab.
 //
 // threads <= 0 returns a *ThreadCountError; threads beyond len(a) is
@@ -119,53 +120,37 @@ func ParallelMerge(a []int, threads int) error {
 		Merge(a)
 		return nil
 	}
-	// Sort each block concurrently.
 	type span struct{ lo, hi int }
-	spans := make([]span, 0, threads)
-	ts := make([]*pthread.Thread, 0, threads)
-	for id := 0; id < threads; id++ {
-		lo, hi := pthread.BlockRange(id, threads, len(a))
-		if lo == hi {
-			continue
-		}
-		spans = append(spans, span{lo, hi})
-		block := a[lo:hi]
-		ts = append(ts, pthread.Create(func() interface{} {
-			Merge(block)
-			return nil
-		}))
+	spans := make([]span, threads)
+	for id := range spans {
+		spans[id].lo, spans[id].hi = pthread.BlockRange(id, threads, len(a))
 	}
-	for _, t := range ts {
-		if _, err := t.Join(); err != nil {
-			return err
-		}
+	// Sort each block concurrently.
+	if err := pthread.ForkJoin(len(spans), func(id int) error {
+		Merge(a[spans[id].lo:spans[id].hi])
+		return nil
+	}); err != nil {
+		return err
 	}
-	// Merge adjacent sorted runs in parallel rounds.
+	// Merge adjacent sorted runs in parallel rounds, one thread per pair;
+	// an odd run out waits for the next round.
 	scratch := make([]int, len(a))
 	for len(spans) > 1 {
-		next := make([]span, 0, (len(spans)+1)/2)
-		round := make([]*pthread.Thread, 0, len(spans)/2)
-		for i := 0; i+1 < len(spans); i += 2 {
-			left, right := spans[i], spans[i+1]
-			merged := span{left.lo, right.hi}
-			next = append(next, merged)
-			seg := a[merged.lo:merged.hi]
-			segScratch := scratch[merged.lo:merged.hi]
-			mid := left.hi - left.lo
-			round = append(round, pthread.Create(func() interface{} {
-				merge(seg, mid, segScratch)
-				return nil
-			}))
+		pairs := len(spans) / 2
+		if err := pthread.ForkJoin(pairs, func(p int) error {
+			left, right := spans[2*p], spans[2*p+1]
+			merge(a[left.lo:right.hi], left.hi-left.lo, scratch[left.lo:right.hi])
+			return nil
+		}); err != nil {
+			return err
+		}
+		for p := 0; p < pairs; p++ {
+			spans[p] = span{spans[2*p].lo, spans[2*p+1].hi}
 		}
 		if len(spans)%2 == 1 {
-			next = append(next, spans[len(spans)-1])
+			spans[pairs] = spans[len(spans)-1]
 		}
-		for _, t := range round {
-			if _, err := t.Join(); err != nil {
-				return err
-			}
-		}
-		spans = next
+		spans = spans[:(len(spans)+1)/2]
 	}
 	return nil
 }

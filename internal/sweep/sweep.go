@@ -3,33 +3,32 @@
 // (the paper's Figure-1 claim), configuration grids for the cache, VM, and
 // memory-hierarchy trace sweeps — across a bounded worker pool and returns
 // results in deterministic input order regardless of scheduling. The
-// experiment suite, cmd/life -bench, and the labd speedup endpoint all run
-// their grids through it. The engine choice for a Life point belongs to
-// life.Advance, the one engine dispatch.
+// experiment suite and the benchmarks run their grids through it. The
+// engine choice for a Life point belongs to life.Advance, the one engine
+// dispatch.
 //
 // Timed speedup series go through the same plumbing with a single worker
-// (MeasureScaling): co-running wall-clock measurements would contend for
-// the cores being measured, so the timed path trades parallelism for
-// clean numbers while keeping the engine's ordering and cancellation
-// semantics.
+// (MeasureScaling, the one scaling series cmd/life -bench and labd's life
+// speedup run): co-running wall-clock measurements would contend for the
+// cores being measured, so the timed path trades parallelism for clean
+// numbers while keeping the engine's ordering and cancellation semantics.
 package sweep
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cs31/internal/pthread"
 )
 
-// Run evaluates fn over every item on at most workers concurrent
-// goroutines and returns the results in item order. A sweep wants the
-// full grid, so one item's failure does not cancel its siblings; the
-// error returned is the lowest-index failure, which makes the outcome
-// independent of scheduling. A canceled ctx skips items that have not
-// started and wins over item errors.
+// Run evaluates fn over every item on at most workers pthread.ForkJoin ids
+// (the caller is id 0) and returns the results in item order. A sweep
+// wants the full grid, so one item's failure does not cancel its
+// siblings; the error returned is the lowest-index failure, which makes
+// the outcome independent of scheduling. A canceled ctx skips items that
+// have not started and wins over item errors.
 func Run[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, item T) (R, error)) ([]R, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil item function")
@@ -41,33 +40,22 @@ func Run[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 	if len(items) == 0 {
 		return results, ctx.Err()
 	}
-	if workers > len(items) {
-		workers = len(items)
-	}
 	errs := make([]error, len(items))
 	// Workers claim the next unclaimed index with one atomic add — the
 	// pool needs no queue, no channel, and no lock, and a slow item only
-	// delays itself.
+	// delays itself. ForkJoin cannot fail here (at least one id, and the
+	// body returns nil): item errors land in errs, reduced below by index.
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = fn(ctx, items[i])
+	_ = pthread.ForkJoin(min(workers, len(items)), func(int) error {
+		for i := int(next.Add(1)) - 1; i < len(items); i = int(next.Add(1)) - 1 {
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
 			}
-		}()
-	}
-	wg.Wait()
+			results[i], errs[i] = fn(ctx, items[i])
+		}
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
 		return results, err
 	}

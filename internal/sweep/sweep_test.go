@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -130,35 +129,54 @@ func TestMeasureScalingSeries(t *testing.T) {
 	}
 }
 
-// TestMeasureScalingParallelForSpeedup times pthread.ParallelFor busy work
-// at 1, 2 and 4 threads. On 2 or more CPUs the 2-thread point must not
-// read implausibly slow: a ParallelFor that serialized its blocks, or a
-// series that timed its points against the wrong base, would.
+// TestMeasureScalingParallelForSpeedup runs pthread.ParallelFor at 1, 2
+// and 4 threads through MeasureScaling and checks, with no clock
+// threshold, the two faults a speedup series can hide: a ParallelFor that
+// serialized its blocks, and a series that timed its points against the
+// wrong base. Every block of a point waits at a rendezvous of threads
+// parties, which only blocks running at once can pass; a serialized
+// ParallelFor leaves the first block waiting, and the bounded wait fails
+// the point instead of hanging the test.
 func TestMeasureScalingParallelForSpeedup(t *testing.T) {
-	points, err := MeasureScaling(context.Background(), []int{1, 2, 4}, func(_ context.Context, threads int) error {
-		// Parallel busy work: real threads, so scaling is plausible.
-		return pthread.ParallelFor(threads, 4, func(int) {
-			x := 0
-			for i := 0; i < 200000; i++ {
-				x += i
+	points, err := MeasureScaling(context.Background(), []int{1, 2, 4}, func(ctx context.Context, threads int) error {
+		ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		var arrived, missed atomic.Int64
+		all := make(chan struct{})
+		err := pthread.ParallelFor(threads, threads, func(int) {
+			if arrived.Add(1) == int64(threads) {
+				close(all)
 			}
-			_ = x
+			select {
+			case <-all:
+			case <-ctx.Done():
+				missed.Add(1)
+			}
 		})
+		if err == nil && missed.Load() > 0 {
+			err = fmt.Errorf("%d blocks did not all run at once", threads)
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runtime.NumCPU() >= 2 && points[1].Speedup < 0.5 {
-		t.Errorf("2-thread speedup implausibly low: %v", points[1].Speedup)
+	for _, p := range points {
+		if want := pthread.Speedup(points[0].Elapsed, p.Elapsed); p.Speedup != want {
+			t.Errorf("%d threads: speedup %v, want %v against the first point's %v", p.Threads, p.Speedup, want, points[0].Elapsed)
+		}
+		if want := p.Speedup / float64(p.Threads); p.Efficiency != want {
+			t.Errorf("%d threads: efficiency %v, want speedup/threads = %v", p.Threads, p.Efficiency, want)
+		}
 	}
 }
 
 // TestLifeGridDifferential is the sweep-grid differential: for every
 // partition × thread-count × size combination in the grid, the sharded
 // per-thread LiveUpdates reduction and the final board must equal the
-// serial engine's RunCounted on the same start state. The grid itself runs
-// through the concurrent engine, so under -race this also exercises
-// independent ParallelRunners on overlapping schedules.
+// serial Grid.Run's count and board from the same start state. The grid
+// itself runs through the concurrent engine, so under -race this also
+// exercises independent ParallelRunners on overlapping schedules.
 func TestLifeGridDifferential(t *testing.T) {
 	sizes := [][2]int{{16, 16}, {19, 23}}
 	threads := []int{1, 2, 3, 4, 8, 16, 33}
@@ -186,7 +204,7 @@ func TestLifeGridDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.RunCounted(c.Gens)
+		wantUpdates := serial.Run(c.Gens)
 		if res.LiveUpdates != wantUpdates {
 			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
 		}
@@ -224,7 +242,7 @@ func TestPackedLifeGridDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.RunCounted(c.Gens)
+		wantUpdates := serial.Run(c.Gens)
 		if res.LiveUpdates != wantUpdates {
 			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
 		}
@@ -279,7 +297,7 @@ func TestDistLifeGridDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.RunCounted(c.Gens)
+		wantUpdates := serial.Run(c.Gens)
 		if res.LiveUpdates != wantUpdates {
 			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
 		}
@@ -315,7 +333,7 @@ func TestGridSurplusWorkersClampedDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.RunCounted(c.Gens)
+		wantUpdates := serial.Run(c.Gens)
 		if res.LiveUpdates != wantUpdates {
 			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
 		}
