@@ -16,7 +16,8 @@
 // thread owns a block of 64-column words, so a board narrower than
 // 64*threads columns runs fewer threads; the banner reports the count a
 // run used. -visual renders each generation on the serial and parallel
-// engines; -iters must be at least 0, and at least 1 with -bench.
+// engines; -iters must be at least 0, and at least 1 with -bench, and
+// -threads and -bench at most life.MaxWorkers (64), labd's bound.
 //
 // The message-passing engine (-engine dist) exposes the fault-injection
 // knobs of the msgpass runtime: -chaos-seed/-chaos-delay/-chaos-stall
@@ -79,6 +80,18 @@ func checkDensity(d float64) error {
 	return nil
 }
 
+// checkWorkers rejects a -threads or a -bench past life.MaxWorkers,
+// labd's bound on a request's threads, before a board is built.
+func checkWorkers(threads, bench int) error {
+	if threads > life.MaxWorkers {
+		return fmt.Errorf("-threads %d exceeds max %d", threads, life.MaxWorkers)
+	}
+	if bench > life.MaxWorkers {
+		return fmt.Errorf("-bench %d exceeds max %d", bench, life.MaxWorkers)
+	}
+	return nil
+}
+
 // checkIters rejects a negative -iters, and a -bench table over zero
 // generations: every row would divide its time by zero.
 func checkIters(iters, bench int) error {
@@ -117,6 +130,9 @@ func run() error {
 		return err
 	}
 	if err := checkDensity(*density); err != nil {
+		return err
+	}
+	if err := checkWorkers(*threads, *bench); err != nil {
 		return err
 	}
 

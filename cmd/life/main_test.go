@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"cs31/internal/life"
 )
 
 func TestResolveEngine(t *testing.T) {
@@ -69,6 +71,23 @@ func TestCheckIters(t *testing.T) {
 	}
 }
 
+func TestCheckWorkers(t *testing.T) {
+	for _, c := range []struct{ threads, bench int }{{1, 0}, {life.MaxWorkers, 0}, {0, life.MaxWorkers}, {-3, 0}} {
+		if err := checkWorkers(c.threads, c.bench); err != nil {
+			t.Errorf("checkWorkers(%d, %d): %v", c.threads, c.bench, err)
+		}
+	}
+	for _, c := range []struct {
+		threads, bench int
+		flag           string
+	}{{life.MaxWorkers + 1, 0, "-threads"}, {100_000, 0, "-threads"}, {1, life.MaxWorkers + 1, "-bench"}, {2, 1 << 40, "-bench"}} {
+		err := checkWorkers(c.threads, c.bench)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("checkWorkers(%d, %d) = %v, want an error naming %s", c.threads, c.bench, err, c.flag)
+		}
+	}
+}
+
 // runLife runs the command with args on a fresh flag set and returns what
 // it printed on stdout and the error it returned.
 func runLife(t *testing.T, args ...string) (string, error) {
@@ -100,6 +119,9 @@ func TestRunThroughAdvance(t *testing.T) {
 	for _, args := range [][]string{
 		{"-iters", "-5", "-engine", "dist", "-threads", "2"},
 		{"-iters", "0", "-bench", "2"},
+		{"-threads", "65"},
+		{"-engine", "dist", "-threads", "65"},
+		{"-bench", "65"},
 		{"-engine", "dist", "-threads", "2", "-visual"},
 		{"-engine", "dist", "-threads", "2", "-partition", "cols", "-chaos-delay", "1ms"},
 		{"-engine", "parallel", "-threads", "2", "-watchdog", "1s"},

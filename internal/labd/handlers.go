@@ -50,7 +50,7 @@ const (
 	maxPageEntries = vm.MaxPageEntries
 	maxTableRows   = 1 << 12 // cache table_n: all of the default 64x64 workload
 	maxLifeIters   = 10_000
-	maxLifeThreads = 64
+	maxLifeThreads = life.MaxWorkers
 	maxProblems    = homework.MaxProblems
 	maxStudents    = 10_000
 )

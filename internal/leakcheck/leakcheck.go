@@ -1,7 +1,7 @@
-// Package leakcheck is the goroutine-leak check the life, msgpass, sweep,
-// sorting and labd test binaries run after their last test: every pthread
-// thread has finished, and the runtime's goroutine count is back to its
-// value before the first test. It turns "cancellation never leaks a
+// Package leakcheck is the goroutine-leak check the life, msgpass,
+// pthread, sweep, sorting and labd test binaries run after their last
+// test: every pthread thread has finished, and the runtime's goroutine
+// count is back to its value before the first test. It turns "cancellation never leaks a
 // goroutine" from a property a few tests poll for into one every test in
 // the package is held to.
 package leakcheck

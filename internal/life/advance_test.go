@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cs31/internal/msgpass"
+	"cs31/internal/pthread"
 )
 
 // cancelAfterPolls is a context whose Err reports nil for its first polls
@@ -85,6 +87,51 @@ func TestAdvanceRefusesDistByCols(t *testing.T) {
 		if g.Generation != 0 || !g.Equal(before) {
 			t.Errorf("workers %d: refused run changed the grid (generation %d)", workers, g.Generation)
 		}
+	}
+}
+
+// TestAdvanceRefusesTooManyWorkers: a run past MaxWorkers threads or
+// ranks is refused before any thread starts, through Advance and through
+// the runners' RunCtx, and leaves the board as it was.
+func TestAdvanceRefusesTooManyWorkers(t *testing.T) {
+	for _, workers := range []int{MaxWorkers + 1, 100_000, 1 << 40} {
+		for _, c := range []struct {
+			name string
+			run  func(g *Grid) (*RunStats, error)
+		}{
+			{"parallel", func(g *Grid) (*RunStats, error) {
+				return Advance(context.Background(), g, Engine{Workers: workers}, 5)
+			}},
+			{"parallel-cols", func(g *Grid) (*RunStats, error) {
+				return Advance(context.Background(), g, Engine{Workers: workers, Partition: ByCols}, 5)
+			}},
+			{"dist", func(g *Grid) (*RunStats, error) {
+				return Advance(context.Background(), g, Engine{Workers: workers, Dist: true}, 5)
+			}},
+			{"ParallelRunner", func(g *Grid) (*RunStats, error) {
+				return (&ParallelRunner{G: g, Threads: workers}).RunCtx(context.Background(), 5)
+			}},
+			{"DistRunner", func(g *Grid) (*RunStats, error) {
+				return (&DistRunner{G: g, Ranks: workers}).RunCtx(context.Background(), 5)
+			}},
+		} {
+			g := seededGrid(t)
+			before, live := g.Clone(), pthread.Live()
+			_, err := c.run(g)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds max %d", MaxWorkers)) {
+				t.Errorf("%s on %d workers: got %v, want a refusal naming MaxWorkers", c.name, workers, err)
+			}
+			if g.Generation != 0 || !g.Equal(before) {
+				t.Errorf("%s on %d workers: refused run changed the grid (generation %d)", c.name, workers, g.Generation)
+			}
+			if got := pthread.Live(); got != live {
+				t.Errorf("%s on %d workers: %d pthread threads live after the refusal, %d before", c.name, workers, got, live)
+			}
+		}
+	}
+	// The bound itself passes the entry check.
+	if _, err := enter(context.Background(), "parallel", MaxWorkers, 5); err != nil {
+		t.Errorf("enter on MaxWorkers workers: %v", err)
 	}
 }
 

@@ -378,17 +378,28 @@ func (e Engine) Owner(g *Grid) func(r, c int) int {
 // errNegativeGens classes a run asked for fewer than zero generations.
 var errNegativeGens = errors.New("negative generation count")
 
-// enter is the check every engine runs before any work: n < 0 and fewer
-// than 1 worker are errors, a nil ctx means context.Background(), and a
-// done ctx fails whatever n is. The runners call it before they spawn a
-// thread or start a world, so a refused run leaves the grid untouched; for
-// the serial engine it is the first ctx poll.
+// MaxWorkers is the most workers one run may ask for: threads on the
+// parallel engine, ranks on the dist engine. Each is a thread, and each
+// rank also an inbox, so enter refuses more before any is started;
+// labd's request bound and cmd/life's -threads and -bench bounds are
+// this constant.
+const MaxWorkers = 64
+
+// enter is the check every engine runs before any work: n < 0, fewer
+// than 1 worker and more than MaxWorkers are errors, a nil ctx means
+// context.Background(), and a done ctx fails whatever n is. The runners
+// call it before they spawn a thread or start a world, so a refused run
+// leaves the grid untouched; for the serial engine it is the first ctx
+// poll.
 func enter(ctx context.Context, engine string, workers, n int) (context.Context, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("life: %s run of %d generations: %w", engine, n, errNegativeGens)
 	}
 	if workers < 1 {
 		return nil, fmt.Errorf("life: %s run on %d workers, need at least 1", engine, workers)
+	}
+	if workers > MaxWorkers {
+		return nil, fmt.Errorf("life: %s run on %d workers exceeds max %d", engine, workers, MaxWorkers)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -409,10 +420,10 @@ const serialPollGens = 8
 // examples/gameoflife share. It first refuses settings the named engine
 // cannot honour, with an error wrapping errors.ErrUnsupported: dist with
 // ByCols or OnRound at any worker count, and Chaos or Watchdog without a
-// dist run of 2 or more ranks. Every engine
-// then applies enter's rules. The serial engine polls ctx every
-// serialPollGens generations; the parallel and dist engines run a
-// ParallelRunner or a DistRunner under the same ctx.
+// dist run of 2 or more ranks. Every engine then applies enter's rules,
+// MaxWorkers among them, before it starts a thread. The serial engine
+// polls ctx every serialPollGens generations; the parallel and dist
+// engines run a ParallelRunner or a DistRunner under the same ctx.
 func Advance(ctx context.Context, g *Grid, e Engine, n int) (*RunStats, error) {
 	switch {
 	case e.Dist && e.Partition != ByRows:
@@ -565,7 +576,10 @@ func (pr *ParallelRunner) RunCtx(ctx context.Context, n int) (*RunStats, error) 
 			// publishes the round on the Grid; that is safe against round
 			// r+2 overwriting dst because round r+2 cannot start before
 			// barrier r+1 completes, which needs the serial thread's
-			// arrival after its callback returns.
+			// arrival after its callback returns. While the threads fit
+			// the processors an early arrival spins through the wait
+			// (pthread.Spin) instead of parking, so it starts the next
+			// generation with the last arrival, not a wakeup later.
 			lane.Begin(nBarrier)
 			serial := barrier.WaitParty(id)
 			lane.End(nBarrier)

@@ -25,10 +25,13 @@
 //     with messages instead of shared counters.
 //
 // A receive waits in two phases. An untimed one (Recv and every
-// collective) first polls its inbox through pthread.Spin, the bounded
-// Gosched spin pthread.Barrier also runs, and only then parks; timed
-// receives park at once. World.Run runs rank 0 on the calling goroutine
-// and every other rank on its own thread (pthread.ForkJoin).
+// collective) first polls its inbox through pthread.Spin, the spin
+// pthread.Barrier also runs: 64 Gosched polls, and then, in a world whose
+// ranks can each hold a processor (pthread.FitsProcessors, read once in
+// NewWorld), polls for up to about twice what a park and wake costs. Only
+// then does it park; timed receives park at once. World.Run runs rank 0
+// on the calling goroutine and every other rank on its own thread
+// (pthread.ForkJoin).
 //
 // Parallel programs fail in ways sequential ones cannot, so the runtime
 // carries a fault layer rather than documenting its hangs: every parked
@@ -88,6 +91,10 @@ type World struct {
 	comms    []*Comm
 	chaos    *Chaos
 	watchdog time.Duration
+
+	// fits is pthread.FitsProcessors(size): whether an untimed receive
+	// may spin past pthread.Spin's first rounds before it parks.
+	fits bool
 
 	abort     chan struct{} // closed exactly once by abortWith
 	abortOnce sync.Once
@@ -167,6 +174,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		capacity: cfg.capacity,
 		chaos:    cfg.chaos,
 		watchdog: cfg.watchdog,
+		fits:     pthread.FitsProcessors(size),
 		abort:    make(chan struct{}),
 		trace:    cfg.trace,
 	}
@@ -647,12 +655,12 @@ func (c *Comm) recvWait(source, tag int, deadline <-chan time.Time, timeout time
 }
 
 // recvMatch is the unchecked matching loop: scan pending in arrival
-// order, then (untimed receives only) poll the inbox through pthread's
-// bounded Gosched spin, then publish the wait and park on the inbox —
-// queuing mismatches all along — until the wanted (source, tag) shows,
-// the deadline fires, the source (or this rank) is failed, or the world
-// aborts. timeout is only for error reporting; deadline carries the
-// actual clock.
+// order, then (untimed receives only) poll the inbox through pthread.Spin,
+// long when the world's ranks fit its processors, then publish the wait
+// and park on the inbox — queuing mismatches all along — until the wanted
+// (source, tag) shows, the deadline fires, the source (or this rank) is
+// failed, or the world aborts. timeout is only for error reporting;
+// deadline carries the actual clock.
 func (c *Comm) recvMatch(source, tag int, deadline <-chan time.Time, timeout time.Duration) (any, error) {
 	if err := c.opEntry("recv", source, tag); err != nil {
 		return nil, err
@@ -671,7 +679,7 @@ func (c *Comm) recvMatch(source, tag int, deadline <-chan time.Time, timeout tim
 	// The spin usually sees the match arrive without parking; a timed
 	// receive parks at once, so a non-positive timeout stays a poll.
 	var env envelope
-	if deadline == nil && pthread.Spin(func() (ok bool) {
+	if deadline == nil && pthread.Spin(c.world.fits, func() (ok bool) {
 		env, ok = c.drain(source, tag)
 		return ok
 	}) {

@@ -2,6 +2,7 @@ package msgpass
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,25 @@ func TestRecvPollsThenParks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorldFitsProcessors pins the rule NewWorld reads once: an untimed
+// receive spins long only when every rank can hold a processor, at most
+// runtime.GOMAXPROCS(0) of them.
+func TestWorldFitsProcessors(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		ranks int
+		fits  bool
+	}{{1, true}, {procs, true}, {procs + 1, false}} {
+		w, err := NewWorld(tc.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.fits != tc.fits {
+			t.Errorf("NewWorld(%d) at GOMAXPROCS %d: fits = %v, want %v", tc.ranks, procs, w.fits, tc.fits)
+		}
 	}
 }
 

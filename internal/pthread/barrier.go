@@ -57,6 +57,10 @@ type Barrier struct {
 	parties int
 	nodes   []barrierNode
 
+	// fits is FitsProcessors(parties), read once: whether a waiter may
+	// spin past spinRounds before it parks.
+	fits bool
+
 	// tickets orders anonymous Wait arrivals: ticket t belongs to round
 	// t/parties, and index t%parties within it picks the leaf.
 	tickets atomic.Int64
@@ -91,7 +95,7 @@ func NewBarrier(parties int) (*Barrier, error) {
 	if parties < 1 {
 		return nil, fmt.Errorf("pthread: barrier needs at least 1 party, got %d", parties)
 	}
-	b := &Barrier{parties: parties}
+	b := &Barrier{parties: parties, fits: FitsProcessors(parties)}
 	b.parkCond = sync.NewCond(&b.parkMu)
 
 	// Build the tree bottom-up: level 0 holds the leaves (barrierFanIn
@@ -160,10 +164,10 @@ func (b *Barrier) release() {
 	}
 }
 
-// await blocks until round has been released: a bounded Gosched spin, then
-// a park on the condition variable.
+// await blocks until round has been released: Spin, long when every party
+// can hold a processor, then a park on the condition variable.
 func (b *Barrier) await(round int64) {
-	if Spin(func() bool { return b.gen.Load() > round }) {
+	if Spin(b.fits, func() bool { return b.gen.Load() > round }) {
 		return
 	}
 	b.parked.Add(1)
