@@ -588,27 +588,48 @@ func BenchmarkHaloExchange(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepGrid times the concurrent experiment-sweep engine end to
-// end: fan a 12-case Game of Life grid (2 sizes x 3 thread counts x 2
-// partitions) across 4 pool workers. The total-live-updates metric sums a
-// deterministic quantity over the whole grid, so it doubles as a shape check
-// that the pool ran every case exactly once.
+// BenchmarkSweepGrid times the fork-join sweep pool end to end: fan a
+// 12-point Game of Life grid (2 sizes x 3 thread counts x 2 partitions)
+// across 4 pool workers, each point building, seeding and advancing its
+// own board through life.Advance. The total-live-updates metric sums a
+// deterministic quantity over the whole grid, so it doubles as a shape
+// check that the pool ran every point exactly once.
 func BenchmarkSweepGrid(b *testing.B) {
-	cases := sweep.LifeGrid([][2]int{{32, 32}, {48, 24}}, []int{1, 2, 4},
-		[]life.Partition{life.ByRows, life.ByCols}, 3, 2022, 0.3)
+	type point struct {
+		rows, cols int
+		eng        life.Engine
+	}
+	var pts []point
+	for _, sz := range [][2]int{{32, 32}, {48, 24}} {
+		for _, w := range []int{1, 2, 4} {
+			pts = append(pts, point{sz[0], sz[1], life.Engine{Workers: w}}, point{sz[0], sz[1], life.Engine{Workers: w, Partition: life.ByCols}})
+		}
+	}
+	run := func(ctx context.Context, p point) (int64, error) {
+		g, err := life.NewGrid(p.rows, p.cols, life.Torus)
+		if err != nil {
+			return 0, err
+		}
+		g.Randomize(2022, 0.3)
+		stats, err := life.Advance(ctx, g, p.eng, 3)
+		if err != nil {
+			return 0, err
+		}
+		return stats.LiveUpdates, nil
+	}
 	var total int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := sweep.RunLifeGrid(context.Background(), 4, cases)
+		updates, err := sweep.Run(context.Background(), 4, pts, run)
 		if err != nil {
 			b.Fatal(err)
 		}
 		total = 0
-		for _, r := range results {
-			total += r.LiveUpdates
+		for _, u := range updates {
+			total += u
 		}
 	}
-	b.ReportMetric(float64(len(cases)), "cases")
+	b.ReportMetric(float64(len(pts)), "cases")
 	b.ReportMetric(float64(total), "total-live-updates")
 }
 

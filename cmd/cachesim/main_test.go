@@ -37,6 +37,10 @@ func TestCheckCache(t *testing.T) {
 		{cache.Config{SizeBytes: -5, BlockSize: 16, Assoc: 1}, "-size -5"},
 		{cache.Config{SizeBytes: 1024, BlockSize: 24, Assoc: 1}, "-block 24"},
 		{cache.Config{SizeBytes: 1000, BlockSize: 16, Assoc: 1}, "-size 1000"},
+		// A -block times -assoc that wraps to 0 divided by zero, and
+		// 131,072 lines is past cache.MaxLines.
+		{cache.Config{SizeBytes: 1024, BlockSize: 1 << 32, Assoc: 1 << 32}, "-block 4294967296, -assoc 4294967296"},
+		{cache.Config{SizeBytes: 8388608, BlockSize: 64, Assoc: 1}, "-size 8388608"},
 	} {
 		refused(t, "checkCache", checkCache(c.cfg), c.flag)
 	}

@@ -72,11 +72,9 @@ func run() error {
 		return fmt.Errorf("usage: labd [-addr :8031] [-workers N] [-queue N] [-timeout d]")
 	}
 
-	var cacheCfg labd.CacheConfig
+	cacheCfg := labd.CacheConfig{MaxBytes: *cacheBytes}
 	if *cacheBytes <= 0 {
-		cacheCfg.Disable = true
-	} else {
-		cacheCfg.MaxBytes = *cacheBytes
+		cacheCfg.MaxBytes = -1
 	}
 	if *cacheOff != "" {
 		cacheCfg.DisableEndpoints = strings.Split(*cacheOff, ",")

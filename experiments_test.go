@@ -13,6 +13,7 @@ import (
 	"cs31/internal/core"
 	"cs31/internal/cpu"
 	"cs31/internal/life"
+	"cs31/internal/memhier"
 	"cs31/internal/pthread"
 	"cs31/internal/survey"
 	"cs31/internal/sweep"
@@ -58,33 +59,51 @@ func TestClaimC1Shape(t *testing.T) {
 		t.Errorf("modeled 16-thread speedup %.2f below near-linear", sp16)
 	}
 	// Correctness leg of the claim, on real threads: the full Figure-1
-	// thread grid runs through the concurrent sweep engine, and every
+	// thread grid runs concurrently on 4 sweep pool workers, and every
 	// point must land on the serial engine's board. A ByCols tile is a
 	// 64-column word block, so the 64-column board runs every column point
 	// on one tile; the 1024-column board (16 words) gives each thread
 	// count up to 16 its own column tiles.
-	sizes := [][2]int{{64, 64}, {64, 1024}}
-	want := map[[2]int]sweep.LifeResult{}
-	for _, sz := range sizes {
+	type outcome struct {
+		population int
+		updates    int64
+	}
+	type point struct {
+		size [2]int
+		eng  life.Engine
+	}
+	want := map[[2]int]outcome{}
+	var pts []point
+	for _, sz := range [][2]int{{64, 64}, {64, 1024}} {
 		serial, err := life.NewGrid(sz[0], sz[1], life.Torus)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial.Randomize(7, 0.3)
-		want[sz] = sweep.LifeResult{LiveUpdates: serial.Run(10), Population: serial.Population()}
+		want[sz] = outcome{updates: serial.Run(10), population: serial.Population()}
+		for _, w := range []int{2, 4, 8, 16} {
+			pts = append(pts, point{sz, life.Engine{Workers: w}}, point{sz, life.Engine{Workers: w, Partition: life.ByCols}})
+		}
 	}
-	cases := sweep.LifeGrid(sizes, []int{2, 4, 8, 16}, []life.Partition{life.ByRows, life.ByCols}, 10, 7, 0.3)
-	results, err := sweep.RunLifeGrid(context.Background(), 4, cases)
+	got, err := sweep.Run(context.Background(), 4, pts, func(ctx context.Context, p point) (outcome, error) {
+		g, err := life.NewGrid(p.size[0], p.size[1], life.Torus)
+		if err != nil {
+			return outcome{}, err
+		}
+		g.Randomize(7, 0.3)
+		stats, err := life.Advance(ctx, g, p.eng, 10)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{g.Population(), stats.LiveUpdates}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range results {
-		w := want[[2]int{res.Case.Rows, res.Case.Cols}]
-		if res.Population != w.Population {
-			t.Errorf("%v diverged from serial: population %d, want %d", res.Case, res.Population, w.Population)
-		}
-		if res.LiveUpdates != w.LiveUpdates {
-			t.Errorf("%v: LiveUpdates %d, serial counted %d", res.Case, res.LiveUpdates, w.LiveUpdates)
+	for i, p := range pts {
+		if w := want[p.size]; got[i] != w {
+			t.Errorf("%v on %d workers by %v diverged from serial: population %d, live updates %d; serial has %d, %d",
+				p.size, p.eng.Workers, p.eng.Partition, got[i].population, got[i].updates, w.population, w.updates)
 		}
 	}
 }
@@ -133,19 +152,25 @@ func TestClaimC3Shape(t *testing.T) {
 // on the standalone simulator, and still wins through the full compiled
 // pipeline.
 func TestClaimC4Shape(t *testing.T) {
-	// The standalone-simulator leg fans the loop-order workload grid
-	// through the sweep engine (both traversals of every config).
+	// The standalone-simulator leg replays both traversals of a 64x64
+	// matrix concurrently on the sweep pool, each on its own cache.
 	cfg := cache.Config{SizeBytes: 1024, BlockSize: 64, Assoc: 1}
-	results, err := sweep.RunCacheGrid(context.Background(), 2, sweep.StrideGrid([]cache.Config{cfg}, 64, 64))
+	traces := [][]memhier.Access{memhier.MatrixTraceRowMajor(0, 64, 64, 4), memhier.MatrixTraceColMajor(0, 64, 64, 4)}
+	rates, err := sweep.Run(context.Background(), 2, traces, func(_ context.Context, trace []memhier.Access) (float64, error) {
+		sim, err := cache.New(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return sim.RunTrace(trace).HitRate(), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, cm := results[0], results[1]
-	if rm.HitRate < 0.9 {
-		t.Errorf("row-major hit rate %.3f, expected ~0.94", rm.HitRate)
+	if rates[0] < 0.9 {
+		t.Errorf("row-major hit rate %.3f, expected ~0.94", rates[0])
 	}
-	if cm.HitRate > 0.1 {
-		t.Errorf("column-major hit rate %.3f, expected ~0", cm.HitRate)
+	if rates[1] > 0.1 {
+		t.Errorf("column-major hit rate %.3f, expected ~0", rates[1])
 	}
 
 	// Through the compiled pipeline (stack traffic dilutes but the order
@@ -178,20 +203,28 @@ int main() {
 // TestClaimC5Shape: the TLB reduces effective access time, and context
 // switches cost translation state.
 func TestClaimC5Shape(t *testing.T) {
-	// Both TLB configurations replay the same working-set walk through the
-	// sweep engine's VM grid.
-	base := vm.Config{PageSize: 256, NumFrames: 32, NumPages: 64}
-	withTLB, withoutTLB := base, base
+	// Both TLB configurations run the same working-set walk, 16 passes
+	// over 8 pages of one process, concurrently on the sweep pool.
+	withoutTLB := vm.Config{PageSize: 256, NumFrames: 32, NumPages: 64}
+	withTLB := withoutTLB
 	withTLB.TLBSize = 16
-	trace := sweep.WalkTrace(1, 8, 16, base.PageSize)
-	results, err := sweep.RunVMGrid(context.Background(), 2, []sweep.VMCase{
-		{Name: "tlb-16", Config: withTLB, Trace: trace},
-		{Name: "tlb-0", Config: withoutTLB, Trace: trace},
-	}, 100, 8_000_000)
+	systems, err := sweep.Run(context.Background(), 2, []vm.Config{withTLB, withoutTLB}, func(_ context.Context, cfg vm.Config) (*vm.System, error) {
+		sys, err := vm.New(cfg)
+		if err == nil {
+			err = sys.AddProcess(1)
+		}
+		if err == nil {
+			err = sys.Switch(1)
+		}
+		for i := 0; i < 16*8 && err == nil; i++ {
+			_, err = sys.Access(uint64(i%8)*cfg.PageSize, false)
+		}
+		return sys, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, without := results[0].EATNs, results[1].EATNs
+	with, without := systems[0].EffectiveAccessTime(100, 8_000_000), systems[1].EffectiveAccessTime(100, 8_000_000)
 	if with >= without {
 		t.Errorf("TLB should lower EAT: with=%.1f without=%.1f", with, without)
 	}

@@ -105,13 +105,27 @@ type Config struct {
 	Repl      ReplPolicy
 }
 
-// Validate checks the power-of-two structure address division requires.
+// MaxLines bounds a cache's lines (SizeBytes/BlockSize), the entries New
+// allocates: Validate refuses more, and labd checks its requests against
+// it.
+const MaxLines = 1 << 16
+
+// Validate checks the power-of-two structure address division requires
+// and the MaxLines bound. BlockSize*Assoc is bounded by division before
+// anything multiplies it, so no pair of sizes can wrap it to zero.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.BlockSize <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache: size, block size, and associativity must be positive")
 	}
 	if c.BlockSize&(c.BlockSize-1) != 0 {
 		return fmt.Errorf("cache: block size %d is not a power of two", c.BlockSize)
+	}
+	lines := c.SizeBytes / c.BlockSize
+	if lines > MaxLines {
+		return fmt.Errorf("cache: %d lines (size/block) exceed %d", lines, MaxLines)
+	}
+	if c.Assoc > lines {
+		return fmt.Errorf("cache: block size %d times associativity %d exceeds size %d", c.BlockSize, c.Assoc, c.SizeBytes)
 	}
 	if c.SizeBytes%(c.BlockSize*c.Assoc) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by block*assoc %d",

@@ -75,6 +75,20 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
+	// Block times associativity must be refused before it can wrap to 0,
+	// and a cache holds at most MaxLines lines, inclusive.
+	for _, cfg := range []Config{
+		{SizeBytes: 1024, BlockSize: 1 << 32, Assoc: 1 << 32},
+		{SizeBytes: 64, BlockSize: 1 << 62, Assoc: 4},
+		{SizeBytes: 8 << 20, BlockSize: 64, Assoc: 1}, // 131,072 lines
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("bad config accepted: %+v", cfg)
+		}
+	}
+	if err := (Config{SizeBytes: MaxLines * 64, BlockSize: 64, Assoc: 1}).Validate(); err != nil {
+		t.Errorf("cache of MaxLines lines rejected: %v", err)
+	}
 	// Fully associative (one set) is legal.
 	fa := Config{SizeBytes: 1024, BlockSize: 16, Assoc: 64}
 	if err := fa.Validate(); err != nil {

@@ -231,7 +231,7 @@ func FuzzLabdEndpoints(f *testing.F) {
 	f.Fuzz(func(t *testing.T, route uint8, a, b string) {
 		r := fuzzRoutes[int(route)%len(fuzzRoutes)]
 		cached := newFuzzServer(t, CacheConfig{})
-		twin := newFuzzServer(t, CacheConfig{Disable: true})
+		twin := newFuzzServer(t, CacheConfig{MaxBytes: -1})
 		for _, in := range []string{a, b, a} {
 			timed := false
 			if r.normalized != nil {

@@ -44,7 +44,7 @@ const (
 	maxSourceBytes = 1 << 20 // asm / mini-C source
 	maxTraceLen    = 1 << 20 // cache / VM trace entries, matrix-workload rows*cols
 	maxGridCells   = 1 << 20 // life rows*cols
-	maxCacheLines  = 1 << 16 // cache size_bytes/block_size
+	maxCacheLines  = cache.MaxLines
 	maxVMFrames    = vm.MaxFrames
 	maxTLBEntries  = vm.MaxTLBEntries
 	maxPageEntries = vm.MaxPageEntries
@@ -310,10 +310,10 @@ func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimRespo
 		return resp, errBadRequest{err}
 	}
 
-	// Sizes cache.Validate rejects anyway (non-positive, or a block*assoc
-	// that does not divide the size) keep its message; these two would
-	// allocate past the bound or wrap block*assoc around to zero first.
-	// table_n sizes the rendered access table, one row per access.
+	// cache.Validate refuses both of these too; checking them first lets
+	// the message name the request's fields (size_bytes, block_size,
+	// assoc). Every other size error keeps Validate's message. table_n
+	// sizes the rendered access table, one row per access.
 	if cfg.SizeBytes > 0 && cfg.BlockSize > 0 && cfg.SizeBytes/cfg.BlockSize > maxCacheLines {
 		return resp, badReqf("cache of %d lines exceeds %d (size_bytes/block_size)", cfg.SizeBytes/cfg.BlockSize, maxCacheLines)
 	}

@@ -73,7 +73,7 @@ func TestLoadMixedConcurrentRequests(t *testing.T) {
 		Workers:        4,
 		QueueDepth:     8,
 		DefaultTimeout: 30 * time.Second,
-		Cache:          CacheConfig{Disable: true},
+		Cache:          CacheConfig{MaxBytes: -1},
 	})
 
 	type tally struct {
@@ -334,7 +334,7 @@ func TestLoadCachedMixedRequests(t *testing.T) {
 	})
 	_, twin := newTestServer(t, Config{
 		Workers: 4, QueueDepth: totalRequests, DefaultTimeout: 30 * time.Second,
-		Cache: CacheConfig{Disable: true},
+		Cache: CacheConfig{MaxBytes: -1},
 	})
 
 	type result struct {

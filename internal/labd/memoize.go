@@ -47,11 +47,9 @@ var cachedEndpoints = []string{"asm", "minic", "cache", "vm", "life", "homework"
 
 // CacheConfig sizes the response memoization layer.
 type CacheConfig struct {
-	// Disable turns memoization off entirely (every request computes).
-	// A negative MaxBytes does the same, mirroring "-cache-bytes 0".
-	Disable bool
 	// MaxBytes is the total resident-byte budget, split evenly across
-	// the enabled endpoints. Zero selects DefaultCacheBytes.
+	// the enabled endpoints. Zero selects DefaultCacheBytes; a negative
+	// budget turns memoization off entirely (every request computes).
 	MaxBytes int64
 	// DisableEndpoints lists endpoint names (see cachedEndpoints) to
 	// serve uncached while the rest stay memoized.
@@ -70,7 +68,7 @@ func (c *CacheConfig) fillDefaults() {
 // touching the rest.
 func (s *Server) initCaches() {
 	cc := s.cfg.Cache
-	if cc.Disable || cc.MaxBytes < 0 {
+	if cc.MaxBytes < 0 {
 		return
 	}
 	disabled := make(map[string]bool, len(cc.DisableEndpoints))

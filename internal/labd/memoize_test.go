@@ -72,7 +72,7 @@ var endpointProbes = []struct {
 func TestCacheDifferentialAllEndpoints(t *testing.T) {
 	_, cached := newTestServer(t, Config{Workers: 2, DefaultTimeout: 30 * time.Second})
 	_, twin := newTestServer(t, Config{Workers: 2, DefaultTimeout: 30 * time.Second,
-		Cache: CacheConfig{Disable: true}})
+		Cache: CacheConfig{MaxBytes: -1}})
 
 	for _, probe := range endpointProbes {
 		var body []byte
@@ -457,21 +457,16 @@ func TestCacheDisabledEndpoint(t *testing.T) {
 	}
 }
 
-// TestCacheFullyDisabled: Disable and negative MaxBytes both turn the
-// layer off entirely.
+// TestCacheFullyDisabled: a negative MaxBytes turns the layer off
+// entirely.
 func TestCacheFullyDisabled(t *testing.T) {
-	for name, cc := range map[string]CacheConfig{
-		"disable-flag":   {Disable: true},
-		"negative-bytes": {MaxBytes: -1},
-	} {
-		s := New(Config{Workers: 1, Cache: cc})
-		if got := len(s.CacheStats()); got != 0 {
-			t.Errorf("%s: %d endpoint caches, want 0", name, got)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		s.Shutdown(ctx)
-		cancel()
+	s := New(Config{Workers: 1, Cache: CacheConfig{MaxBytes: -1}})
+	if got := len(s.CacheStats()); got != 0 {
+		t.Errorf("negative budget: %d endpoint caches, want 0", got)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	s.Shutdown(ctx)
+	cancel()
 }
 
 // TestPprofGatedByFlag: the profiling routes exist only when EnablePprof

@@ -205,9 +205,6 @@ func TestDistRunCtxCancel(t *testing.T) {
 		t.Error("canceled run mutated the grid")
 	}
 	waitForLiveThreads(t, baseline)
-	if running := dr.CommStats.Running; running != 0 {
-		t.Errorf("%d rank goroutines recorded live after cancel", running)
-	}
 }
 
 // TestParallelRunCtxCancel: the shared-memory runner must stop within a

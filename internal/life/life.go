@@ -416,8 +416,8 @@ func enter(ctx context.Context, engine string, workers, n int) (context.Context,
 const serialPollGens = 8
 
 // Advance runs n generations of g under ctx on the engine e names. It is
-// the one engine entry labd, the sweep engine, cmd/life and
-// examples/gameoflife share. It first refuses settings the named engine
+// the one engine entry labd, cmd/life, examples/gameoflife and the
+// experiment tests share. It first refuses settings the named engine
 // cannot honour, with an error wrapping errors.ErrUnsupported: dist with
 // ByCols or OnRound at any worker count, and Chaos or Watchdog without a
 // dist run of 2 or more ranks. Every engine then applies enter's rules,

@@ -141,8 +141,8 @@ func AnalyzeLocality(trace []Access, window int, radius uint64) LocalityReport {
 
 // The trace generators know their exact output length up front, so each
 // makes at most one allocation, and the Append* forms make none when the
-// destination has capacity — sweep grids that regenerate traces per case
-// reuse one buffer with dst[:0].
+// destination has capacity: a caller that regenerates traces can reuse
+// one buffer with dst[:0], as BenchmarkMatrixTraceAlloc does.
 
 // MatrixTraceRowMajor generates the access trace of the cache exercise's
 // "good" loop nest: for i { for j { sum += m[i][j] } } over a rows x cols

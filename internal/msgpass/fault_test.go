@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"cs31/internal/pthread"
 )
 
 // Tests for the fault layer: the deadlock watchdog, receive deadlines,
@@ -426,14 +428,15 @@ func TestCollectiveUnwindsOnRankFailure(t *testing.T) {
 }
 
 // TestRunCtxCancelUnblocksAllRanks: cancelling the context must abort the
-// world, return an error wrapping the context error, and leave zero rank
-// goroutines live inside the run.
+// world, return an error wrapping the context error, and leave no rank
+// thread live after the run.
 func TestRunCtxCancelUnblocksAllRanks(t *testing.T) {
 	const size = 8
 	w, err := NewWorld(size)
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline := pthread.Live()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -453,11 +456,45 @@ func TestRunCtxCancelUnblocksAllRanks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled RunCtx did not return")
 	}
-	if got := w.Stats().Running; got != 0 {
-		t.Errorf("%d rank goroutines still live after canceled RunCtx", got)
+	if got := pthread.Live(); got != baseline {
+		t.Errorf("%d live threads after canceled RunCtx, %d before it", got, baseline)
 	}
 	if cause := w.AbortCause(); !errors.Is(cause, context.Canceled) {
 		t.Errorf("AbortCause() = %v, want context.Canceled", cause)
+	}
+}
+
+// TestRunCtxCancelAfterReturn: a cancel that lands after a clean RunCtx
+// returned must leave the world healthy, with no abort cause and a second
+// run that succeeds. labd cancels every request's context as it returns,
+// just after the dist run inside it finished. The sleep gives anything
+// the cancel started time to act: a context watcher still pending when
+// RunCtx returns would abort about half of these worlds.
+func TestRunCtxCancelAfterReturn(t *testing.T) {
+	ping := func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.Send(1, 0, "ping")
+		}
+		_, err := c.Recv(0, 0)
+		return err
+	}
+	for i := 0; i < 20; i++ {
+		w, err := NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := w.RunCtx(ctx, ping); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		cancel()
+		time.Sleep(time.Millisecond)
+		if cause := w.AbortCause(); cause != nil {
+			t.Fatalf("run %d: AbortCause() = %v after a late cancel, want nil", i, cause)
+		}
+		if err := w.Run(ping); err != nil {
+			t.Fatalf("run %d: second run after a late cancel: %v", i, err)
+		}
 	}
 }
 

@@ -99,7 +99,6 @@ type World struct {
 	abort     chan struct{} // closed exactly once by abortWith
 	abortOnce sync.Once
 	abortErr  atomic.Pointer[abortCause]
-	running   atomic.Int64 // rank goroutines currently inside Run
 
 	// trace and the pre-registered name handles below are set once in
 	// NewWorld (WithTrace) and read-only afterwards; a nil trace leaves
@@ -277,8 +276,9 @@ func (w *World) Run(fn func(c *Comm) error) error {
 // every blocked rank returns promptly with an error wrapping ctx.Err(),
 // and RunCtx still joins every rank thread before returning — a canceled
 // run leaves zero live rank goroutines behind. A context that is already
-// done aborts the world before any rank function runs. With WithWatchdog
-// armed, the deadlock monitor runs for the duration of the call.
+// done aborts the world before any rank function runs, and a cancel after
+// RunCtx returned leaves the world alone. With WithWatchdog armed, the
+// deadlock monitor runs for the duration of the call.
 func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
 	if fn == nil {
 		return fmt.Errorf("msgpass: nil rank function")
@@ -290,24 +290,17 @@ func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
 		w.abortWith(err)
 		return fmt.Errorf("msgpass: run not started: %w", err)
 	}
-	joined := make(chan struct{})
-	defer close(joined)
 	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				w.abortWith(ctx.Err())
-			case <-joined:
-			}
-		}()
+		stop := context.AfterFunc(ctx, func() { w.abortWith(ctx.Err()) })
+		defer stop()
 	}
 	if w.watchdog > 0 {
+		joined := make(chan struct{})
+		defer close(joined)
 		go w.watchdogLoop(joined)
 	}
 	return pthread.ForkJoin(w.size, func(r int) error {
 		c := w.comms[r]
-		w.running.Add(1)
-		defer w.running.Add(-1)
 		defer c.done.Store(true)
 		if err := fn(c); err != nil {
 			return fmt.Errorf("msgpass: rank %d: %w", r, err)
@@ -341,12 +334,11 @@ type WorldStats struct {
 	BytesSent   int64
 	Collectives int64
 	InboxHWM    int64 // the largest rank's InboxHWM
-	Running     int64 // rank goroutines currently live inside Run/RunCtx
 }
 
 // Stats snapshots every rank's counters. Safe to call while ranks run.
 func (w *World) Stats() WorldStats {
-	ws := WorldStats{PerRank: make([]CommStats, w.size), Running: w.running.Load()}
+	ws := WorldStats{PerRank: make([]CommStats, w.size)}
 	for r, c := range w.comms {
 		s := c.Stats()
 		ws.PerRank[r] = s

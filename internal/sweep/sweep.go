@@ -1,17 +1,15 @@
-// Package sweep is the concurrent experiment-sweep engine: it fans a
-// parameter grid — thread count × board size × partition for Game of Life
-// (the paper's Figure-1 claim), configuration grids for the cache, VM, and
-// memory-hierarchy trace sweeps — across a bounded worker pool and returns
-// results in deterministic input order regardless of scheduling. The
-// experiment suite and the benchmarks run their grids through it. The
-// engine choice for a Life point belongs to life.Advance, the one engine
-// dispatch.
+// Package sweep is a fork-join pool for parameter sweeps: Run fans a
+// slice of points across a bounded set of pthread.ForkJoin workers and
+// returns the results in input order regardless of scheduling. A caller
+// passes its points and a closure that runs one of them; the pool knows
+// nothing of what the closure simulates.
 //
-// Timed speedup series go through the same plumbing with a single worker
-// (MeasureScaling, the one scaling series cmd/life -bench and labd's life
-// speedup run): co-running wall-clock measurements would contend for the
-// cores being measured, so the timed path trades parallelism for clean
-// numbers while keeping the engine's ordering and cancellation semantics.
+// Timed speedup series go through the same pool with a single worker
+// (MeasureScaling, the one scaling series cmd/life -bench, labd's life
+// speedup run and examples/gameoflife use): co-running wall-clock
+// measurements would contend for the cores being measured, so the timed
+// path trades parallelism for clean numbers while keeping the pool's
+// ordering and cancellation semantics.
 package sweep
 
 import (

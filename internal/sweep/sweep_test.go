@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"cs31/internal/cache"
 	"cs31/internal/life"
+	"cs31/internal/memhier"
 	"cs31/internal/pthread"
 	"cs31/internal/sorting"
 	"cs31/internal/vm"
@@ -171,294 +174,247 @@ func TestMeasureScalingParallelForSpeedup(t *testing.T) {
 	}
 }
 
-// TestLifeGridDifferential is the sweep-grid differential: for every
-// partition × thread-count × size combination in the grid, the sharded
-// per-thread LiveUpdates reduction and the final board must equal the
-// serial Grid.Run's count and board from the same start state. The grid
-// itself runs through the concurrent engine, so under -race this also
-// exercises independent ParallelRunners on overlapping schedules.
+// lifePoint is one run of the Life grid tests: a rows × cols board filled
+// from seed at density, advanced gens generations on eng.
+type lifePoint struct {
+	rows, cols, gens int
+	seed             int64
+	density          float64
+	eng              life.Engine
+}
+
+// board is p's seeded start board.
+func (p lifePoint) board() (*life.Grid, error) {
+	g, err := life.NewGrid(p.rows, p.cols, life.Torus)
+	if err == nil {
+		g.Randomize(p.seed, p.density)
+	}
+	return g, err
+}
+
+// lifeRun is what one point leaves: its board and the live updates its
+// engine counted.
+type lifeRun struct {
+	g       *life.Grid
+	updates int64
+}
+
+// runLife is the Life grid tests' pool item: p's board advanced on p's
+// engine through life.Advance.
+func runLife(ctx context.Context, p lifePoint) (lifeRun, error) {
+	g, err := p.board()
+	if err != nil {
+		return lifeRun{}, err
+	}
+	stats, err := life.Advance(ctx, g, p.eng, p.gens)
+	if err != nil {
+		return lifeRun{}, fmt.Errorf("%+v: %w", p, err)
+	}
+	return lifeRun{g, stats.LiveUpdates}, nil
+}
+
+// checkLifeGrid runs every size × engine point through a pool of pool
+// workers and holds each board, live-update count and generation to the
+// serial Grid.Run's from the same start. Under -race this also runs
+// independent engines on overlapping schedules.
+func checkLifeGrid(t *testing.T, pool int, sizes [][2]int, engines []life.Engine, gens int, seed int64, density float64) {
+	t.Helper()
+	var pts []lifePoint
+	for _, sz := range sizes {
+		for _, e := range engines {
+			pts = append(pts, lifePoint{sz[0], sz[1], gens, seed, density, e})
+		}
+	}
+	runs, err := Run(context.Background(), pool, pts, runLife)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		serial, err := p.board()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := serial.Run(gens), runs[i]
+		if got.updates != want || !got.g.Equal(serial) || got.g.Generation != gens {
+			t.Errorf("%+v: %d live updates at generation %d, board equal %t; serial Grid.Run counted %d",
+				p, got.updates, got.g.Generation, got.g.Equal(serial), want)
+		}
+	}
+}
+
+// TestLifeGridDifferential: for every partition × worker count × size,
+// the parallel engine's sharded live-update reduction and final board
+// must equal the serial Grid.Run's from the same start.
 func TestLifeGridDifferential(t *testing.T) {
-	sizes := [][2]int{{16, 16}, {19, 23}}
-	threads := []int{1, 2, 3, 4, 8, 16, 33}
-	partitions := []life.Partition{life.ByRows, life.ByCols}
-	const (
-		gens    = 5
-		seed    = 11
-		density = 0.35
-	)
-	cases := LifeGrid(sizes, threads, partitions, gens, seed, density)
-	if want := len(sizes) * len(threads) * len(partitions); len(cases) != want {
-		t.Fatalf("grid has %d cases, want %d", len(cases), want)
+	var engines []life.Engine
+	for _, w := range []int{1, 2, 3, 4, 8, 16, 33} {
+		engines = append(engines, life.Engine{Workers: w}, life.Engine{Workers: w, Partition: life.ByCols})
 	}
-	results, err := RunLifeGrid(context.Background(), 8, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		c := cases[i]
-		if res.Case != c {
-			t.Fatalf("results[%d] is for case %v, want %v (ordering)", i, res.Case, c)
-		}
-		serial, err := life.NewGrid(c.Rows, c.Cols, life.Torus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.Run(c.Gens)
-		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
-		}
-		if res.Population != serial.Population() {
-			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
-		}
-		if res.Generation != gens {
-			t.Errorf("%v: generation = %d, want %d", c, res.Generation, gens)
-		}
-	}
+	checkLifeGrid(t, 8, [][2]int{{16, 16}, {19, 23}}, engines, 5, 11, 0.35)
 }
 
-// TestPackedLifeGridDifferential runs every engine the sweep dispatches —
-// serial, ParallelRunner by rows and by 64-column word tiles, DistRunner —
-// on a 70-column board, whose rows pack into one full word and one ragged
-// word, and holds each to the serial engine's count on the same seeded
-// board.
+// TestPackedLifeGridDifferential runs every engine — serial, parallel by
+// rows and by 64-column word tiles, dist — on a 70-column board, whose
+// rows pack into one full word and one ragged word.
 func TestPackedLifeGridDifferential(t *testing.T) {
-	const (
-		gens    = 5
-		seed    = 11
-		density = 0.35
-	)
-	cases := LifeGrid([][2]int{{16, 70}}, []int{1, 4, 33}, []life.Partition{life.ByRows, life.ByCols}, gens, seed, density)
-	dist := DistLifeGrid([][2]int{{16, 70}}, []int{4}, gens, seed, density)
-	cases = append(cases, dist...)
-	results, err := RunLifeGrid(context.Background(), 4, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		c := cases[i]
-		serial, err := life.NewGrid(c.Rows, c.Cols, life.Torus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.Run(c.Gens)
-		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
-		}
-		if res.Population != serial.Population() {
-			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
-		}
-	}
+	checkLifeGrid(t, 4, [][2]int{{16, 70}}, []life.Engine{
+		{Workers: 1}, {Workers: 1, Partition: life.ByCols},
+		{Workers: 4}, {Workers: 4, Partition: life.ByCols},
+		{Workers: 33}, {Workers: 33, Partition: life.ByCols},
+		{Workers: 4, Dist: true},
+	}, 5, 11, 0.35)
 }
 
-// TestRunLifeGridRejectsDistByCols: the DistRunner shards by rows only,
-// and the sweep is the one place a column-partitioned dist case can be
-// built, so the sweep rejects it instead of silently running rows.
+// TestRunLifeGridRejectsDistByCols: the dist engine shards by rows only,
+// and the pool surfaces its refusal of a column-partitioned point instead
+// of a run by rows.
 func TestRunLifeGridRejectsDistByCols(t *testing.T) {
-	cases := []LifeCase{{Rows: 8, Cols: 8, Threads: 2, Partition: life.ByCols, Gens: 1, Seed: 1, Density: 0.3, Dist: true}}
-	if _, err := RunLifeGrid(context.Background(), 1, cases); err == nil || !strings.Contains(err.Error(), "rows only") {
-		t.Errorf("dist case partitioned by columns: err = %v, want a rows-only error", err)
+	pts := []lifePoint{{rows: 8, cols: 8, gens: 1, seed: 1, density: 0.3, eng: life.Engine{Workers: 2, Partition: life.ByCols, Dist: true}}}
+	if _, err := Run(context.Background(), 1, pts, runLife); err == nil || !strings.Contains(err.Error(), "rows only") {
+		t.Errorf("dist point partitioned by columns: err = %v, want a rows-only error", err)
 	}
 }
 
-// TestDistLifeGridDifferential runs the message-passing engine's grid
-// through the sweep pool and checks every point against the serial engine —
-// the distributed counterpart of TestLifeGridDifferential. Rank count 33
-// over 16-row boards exercises the surplus-rank clamp inside a grid run.
+// TestDistLifeGridDifferential is the message-passing counterpart of
+// TestLifeGridDifferential. Rank count 33 over 16-row boards exercises
+// the surplus-rank clamp inside a pooled run.
 func TestDistLifeGridDifferential(t *testing.T) {
-	sizes := [][2]int{{16, 16}, {19, 23}}
-	ranks := []int{1, 2, 8, 33}
-	const (
-		gens    = 5
-		seed    = 11
-		density = 0.35
-	)
-	cases := DistLifeGrid(sizes, ranks, gens, seed, density)
-	if want := len(sizes) * len(ranks); len(cases) != want {
-		t.Fatalf("grid has %d cases, want %d", len(cases), want)
-	}
-	for _, c := range cases {
-		if !c.Dist {
-			t.Fatalf("case %v not marked Dist", c)
-		}
-		if c.Threads > 1 && !strings.HasSuffix(c.String(), "/dist") {
-			t.Fatalf("case label %q does not name the dist engine", c.String())
-		}
-	}
-	results, err := RunLifeGrid(context.Background(), 4, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		c := cases[i]
-		serial, err := life.NewGrid(c.Rows, c.Cols, life.Torus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.Run(c.Gens)
-		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
-		}
-		if res.Population != serial.Population() {
-			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
-		}
-	}
+	checkLifeGrid(t, 4, [][2]int{{16, 16}, {19, 23}}, []life.Engine{
+		{Workers: 1, Dist: true}, {Workers: 2, Dist: true}, {Workers: 8, Dist: true}, {Workers: 33, Dist: true},
+	}, 5, 11, 0.35)
 }
 
 // TestGridSurplusWorkersClampedDifferential is the regression test for the
-// PR-3 surplus-worker class at the grid level: cases whose worker count far
-// exceeds the partition extent (64 workers over boards with as few as 2
-// rows) must clamp and still match the serial engine bit-for-bit, on both
-// the shared-memory and the message-passing engine.
+// surplus-worker class in a pooled run: 64 workers over boards with as
+// few as 2 rows must clamp and still match the serial engine bit for bit,
+// on both the shared-memory and the message-passing engine.
 func TestGridSurplusWorkersClampedDifferential(t *testing.T) {
-	sizes := [][2]int{{2, 9}, {3, 3}, {5, 17}}
-	const (
-		gens    = 6
-		seed    = 23
-		density = 0.4
-	)
-	shared := LifeGrid(sizes, []int{64}, []life.Partition{life.ByRows, life.ByCols}, gens, seed, density)
-	dist := DistLifeGrid(sizes, []int{64}, gens, seed, density)
-	cases := append(shared, dist...)
-	results, err := RunLifeGrid(context.Background(), 4, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		c := cases[i]
-		serial, err := life.NewGrid(c.Rows, c.Cols, life.Torus)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial.Randomize(c.Seed, c.Density)
-		wantUpdates := serial.Run(c.Gens)
-		if res.LiveUpdates != wantUpdates {
-			t.Errorf("%v: LiveUpdates = %d, serial engine counted %d", c, res.LiveUpdates, wantUpdates)
-		}
-		if res.Population != serial.Population() {
-			t.Errorf("%v: population = %d, serial engine has %d", c, res.Population, serial.Population())
-		}
-	}
+	checkLifeGrid(t, 4, [][2]int{{2, 9}, {3, 3}, {5, 17}}, []life.Engine{
+		{Workers: 64}, {Workers: 64, Partition: life.ByCols}, {Workers: 64, Dist: true},
+	}, 6, 23, 0.4)
 }
 
-// TestStrideGridShape is the engine-driven form of the C4 claim: a
-// row-major traversal against a small direct-mapped cache hits nearly
-// always, a column-major traversal of the same matrix almost never.
 // TestSortGridDifferential: every thread count at a given size sorts the
-// same seeded permutation, so all checksums in a size row must agree and
-// match a serial sorting.Merge reference.
+// same seeded permutation through the pool, and each output must equal
+// the serial sort of its own input.
 func TestSortGridDifferential(t *testing.T) {
-	sizes := []int{0, 1, 100, 4096}
-	threads := []int{1, 2, 3, 8, 16}
-	const seed = 13
-	cases := SortGrid(sizes, threads, seed)
-	if want := len(sizes) * len(threads); len(cases) != want {
-		t.Fatalf("grid has %d cases, want %d", len(cases), want)
+	input := func(n int) []int {
+		rng := rand.New(rand.NewSource(13))
+		a := make([]int, n)
+		for i := range a {
+			a[i] = rng.Intn(1<<20) - 1<<19
+		}
+		return a
 	}
-	results, err := RunSortGrid(context.Background(), 4, cases)
+	sortPoint := func(_ context.Context, p [2]int) ([]int, error) { // p is {n, threads}
+		a := input(p[0])
+		return a, sorting.ParallelMerge(a, p[1])
+	}
+	var pts [][2]int
+	for _, n := range []int{0, 1, 100, 4096} {
+		for _, threads := range []int{1, 2, 3, 8, 16} {
+			pts = append(pts, [2]int{n, threads})
+		}
+	}
+	outs, err := Run(context.Background(), 4, pts, sortPoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byN := make(map[int][]SortResult)
-	for i, res := range results {
-		if res.Case != cases[i] {
-			t.Fatalf("results[%d] is for case %v, want %v (ordering)", i, res.Case, cases[i])
-		}
-		if !res.Sorted {
-			t.Errorf("%v: output not sorted", res.Case)
-		}
-		byN[res.Case.N] = append(byN[res.Case.N], res)
-	}
-	for n, group := range byN {
-		// Serial reference: same generator, sorted with the plain kernel.
-		ref, err := RunSortGrid(context.Background(), 1, []SortCase{{N: n, Threads: 1, Seed: seed}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, res := range group {
-			if res.Checksum != ref[0].Checksum {
-				t.Errorf("%v: checksum %#x diverges from serial %#x", res.Case, res.Checksum, ref[0].Checksum)
-			}
+	for i, p := range pts {
+		want := input(p[0])
+		slices.Sort(want)
+		if !slices.Equal(outs[i], want) {
+			t.Errorf("n %d on %d threads: output differs from the serial sort of its input", p[0], p[1])
 		}
 	}
-	// Grid propagates the kernel's typed error for bad thread counts.
-	if _, err := RunSortGrid(context.Background(), 1, []SortCase{{N: 10, Threads: 0, Seed: seed}}); err == nil {
-		t.Fatal("threads=0 case should fail")
-	} else {
-		var tce *sorting.ThreadCountError
-		if !errors.As(err, &tce) {
-			t.Fatalf("err = %v, want *sorting.ThreadCountError", err)
-		}
+	// The pool surfaces the kernel's typed error for a bad thread count.
+	var tce *sorting.ThreadCountError
+	if _, err := Run(context.Background(), 1, [][2]int{{10, 0}}, sortPoint); !errors.As(err, &tce) {
+		t.Fatalf("threads=0: err = %v, want *sorting.ThreadCountError", err)
 	}
 }
 
+// TestStrideGridShape is the pooled form of the C4 claim: a row-major
+// traversal against a small direct-mapped cache hits nearly always, a
+// column-major traversal of the same matrix almost never.
 func TestStrideGridShape(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 1024, BlockSize: 64, Assoc: 1}
-	cases := StrideGrid([]cache.Config{cfg}, 64, 64)
-	if len(cases) != 2 {
-		t.Fatalf("grid has %d cases, want 2", len(cases))
-	}
-	results, err := RunCacheGrid(context.Background(), 2, cases)
+	traces := [][]memhier.Access{memhier.MatrixTraceRowMajor(0, 64, 64, 4), memhier.MatrixTraceColMajor(0, 64, 64, 4)}
+	rates, err := Run(context.Background(), 2, traces, func(_ context.Context, trace []memhier.Access) (float64, error) {
+		sim, err := cache.New(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return sim.RunTrace(trace).HitRate(), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, col := results[0], results[1]
-	if row.HitRate < 0.9 {
-		t.Errorf("row-major hit rate %.3f, want >= 0.9", row.HitRate)
+	if len(rates) != 2 {
+		t.Fatalf("pool returned %d hit rates, want 2", len(rates))
 	}
-	if col.HitRate > 0.1 {
-		t.Errorf("column-major hit rate %.3f, want <= 0.1", col.HitRate)
+	if rates[0] < 0.9 {
+		t.Errorf("row-major hit rate %.3f, want >= 0.9", rates[0])
+	}
+	if rates[1] > 0.1 {
+		t.Errorf("column-major hit rate %.3f, want <= 0.1", rates[1])
 	}
 }
 
-// TestVMGridShape is the engine-driven form of the C5 claim: the same
-// working-set walk with and without a TLB.
+// TestVMGridShape is the pooled form of the C5 claim: the same
+// working-set walk, 16 passes over 8 pages of one process, with and
+// without a TLB.
 func TestVMGridShape(t *testing.T) {
-	cfg := vm.Config{PageSize: 256, NumFrames: 16, NumPages: 32}
-	trace := WalkTrace(1, 8, 16, cfg.PageSize)
-	withTLB, withoutTLB := cfg, cfg
+	noTLB := vm.Config{PageSize: 256, NumFrames: 16, NumPages: 32}
+	withTLB := noTLB
 	withTLB.TLBSize = 16
-	cases := []VMCase{
-		{Name: "tlb-16", Config: withTLB, Trace: trace},
-		{Name: "tlb-0", Config: withoutTLB, Trace: trace},
-	}
-	results, err := RunVMGrid(context.Background(), 2, cases, 100, 8e6)
+	systems, err := Run(context.Background(), 2, []vm.Config{withTLB, noTLB}, func(_ context.Context, cfg vm.Config) (*vm.System, error) {
+		sys, err := vm.New(cfg)
+		if err == nil {
+			err = sys.AddProcess(1)
+		}
+		if err == nil {
+			err = sys.Switch(1)
+		}
+		for i := 0; i < 16*8 && err == nil; i++ {
+			_, err = sys.Access(uint64(i%8)*cfg.PageSize, false)
+		}
+		return sys, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlb, noTLB := results[0], results[1]
-	if tlb.TLBHitRate <= 0.9 {
-		t.Errorf("TLB hit rate %.3f, want > 0.9 (8-page working set in a 16-entry TLB)", tlb.TLBHitRate)
+	tlb, none := systems[0].Stats(), systems[1].Stats()
+	if tlb.TLBHitRate() <= 0.9 {
+		t.Errorf("TLB hit rate %.3f, want > 0.9 (8-page working set in a 16-entry TLB)", tlb.TLBHitRate())
 	}
-	if noTLB.TLBHitRate != 0 {
-		t.Errorf("TLB-less hit rate %.3f, want 0", noTLB.TLBHitRate)
+	if none.TLBHitRate() != 0 {
+		t.Errorf("TLB-less hit rate %.3f, want 0", none.TLBHitRate())
 	}
-	if tlb.FaultRate != noTLB.FaultRate {
-		t.Errorf("fault rates differ with TLB (%v) vs without (%v): the TLB must not change paging", tlb.FaultRate, noTLB.FaultRate)
+	if tlb.FaultRate() != none.FaultRate() {
+		t.Errorf("fault rates differ with TLB (%v) vs without (%v): the TLB must not change paging", tlb.FaultRate(), none.FaultRate())
 	}
-	if tlb.EATNs >= noTLB.EATNs {
-		t.Errorf("EAT with TLB (%v ns) not below EAT without (%v ns)", tlb.EATNs, noTLB.EATNs)
+	if with, without := systems[0].EffectiveAccessTime(100, 8e6), systems[1].EffectiveAccessTime(100, 8e6); with >= without {
+		t.Errorf("EAT with TLB (%v ns) not below EAT without (%v ns)", with, without)
 	}
 }
 
-// TestLifeGridCancellationTearsDown: canceling a life sweep mid-flight
-// must stop every engine class — serial cases at their next chunk poll,
-// parallel and dist cases through their runners' own context plumbing —
-// and surface the context error from the sweep.
+// TestLifeGridCancellationTearsDown: canceling a pooled Life sweep
+// mid-flight must stop every engine class — serial points at their next
+// poll, parallel and dist points through their runners' own context
+// plumbing — and surface the context error from the pool.
 func TestLifeGridCancellationTearsDown(t *testing.T) {
-	// Big serial cases plus dist and parallel cases, enough generations
+	// Big serial points plus dist and parallel ones, enough generations
 	// that the sweep cannot finish before the cancel lands.
-	cases := []LifeCase{
-		{Rows: 256, Cols: 256, Threads: 1, Gens: 10_000, Seed: 1, Density: 0.3},
-		{Rows: 256, Cols: 256, Threads: 4, Gens: 10_000, Seed: 1, Density: 0.3},
-		{Rows: 256, Cols: 256, Threads: 4, Gens: 10_000, Seed: 1, Density: 0.3, Dist: true},
+	pts := []lifePoint{
+		{rows: 256, cols: 256, gens: 10_000, seed: 1, density: 0.3, eng: life.Engine{Workers: 1}},
+		{rows: 256, cols: 256, gens: 10_000, seed: 1, density: 0.3, eng: life.Engine{Workers: 4}},
+		{rows: 256, cols: 256, gens: 10_000, seed: 1, density: 0.3, eng: life.Engine{Workers: 4, Dist: true}},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunLifeGrid(ctx, 3, cases)
+		_, err := Run(ctx, 3, pts, runLife)
 		done <- err
 	}()
 	cancel()
