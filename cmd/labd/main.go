@@ -5,17 +5,23 @@
 // queue into a fixed worker pool; a full queue answers 429, and SIGTERM
 // triggers a graceful drain of in-flight jobs.
 //
-// Deterministic endpoints are memoized: repeated identical requests are
-// served from pre-encoded response bytes, and concurrent identical
+// Every request is parsed and checked in its HTTP goroutine: a request
+// its own fields make invalid (a missing source, a size past its bound,
+// an unknown policy or engine) gets its 400 there, before the memo and
+// the queue, so it never takes a queue slot or a 429. Valid requests to
+// the deterministic endpoints are memoized: repeated identical requests
+// are served from pre-encoded response bytes, and concurrent identical
 // requests coalesce onto one computation (-cache-bytes sizes the budget,
-// 0 disables; -cache-off disables named endpoints; clients bypass with
-// Cache-Control: no-cache).
+// 0 disables; clients bypass with Cache-Control: no-cache).
 //
 // Usage:
 //
 //	labd -addr :8031
 //	labd -workers 8 -queue 64 -timeout 5s
-//	labd -cache-bytes 67108864 -cache-off life,survey
+//	labd -cache-bytes 67108864
+//
+// -workers takes at most labd.MaxWorkers and -queue at most
+// labd.MaxQueueDepth; labd refuses a larger value before it starts.
 //
 // Observability: one metrics registry, rendered as Prometheus text at
 // GET /metrics and as expvar-style JSON at GET /debug/vars (responses
@@ -38,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,21 +68,19 @@ func run() error {
 	quiet := flag.Bool("quiet", false, "disable the request log")
 	cacheBytes := flag.Int64("cache-bytes", labd.DefaultCacheBytes,
 		"response memoization budget in bytes, split across endpoints (0 disables)")
-	cacheOff := flag.String("cache-off", "",
-		"comma-separated endpoints to serve uncached (asm,minic,cache,vm,life,homework,survey)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	traceDir := flag.String("trace-dir", "", "record a Chrome trace-event timeline and write it here on shutdown")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		return fmt.Errorf("usage: labd [-addr :8031] [-workers N] [-queue N] [-timeout d]")
 	}
+	if err := checkPool(*workers, *queue); err != nil {
+		return err
+	}
 
 	cacheCfg := labd.CacheConfig{MaxBytes: *cacheBytes}
 	if *cacheBytes <= 0 {
 		cacheCfg.MaxBytes = -1
-	}
-	if *cacheOff != "" {
-		cacheCfg.DisableEndpoints = strings.Split(*cacheOff, ",")
 	}
 
 	var logger *slog.Logger
@@ -157,6 +160,18 @@ func run() error {
 	}
 	if logger != nil {
 		logger.Info("drained, exiting")
+	}
+	return nil
+}
+
+// checkPool refuses a pool labd cannot build: every worker starts a
+// goroutine and a histogram shard, and the queue is allocated whole.
+func checkPool(workers, queue int) error {
+	if workers > labd.MaxWorkers {
+		return fmt.Errorf("-workers %d exceeds max %d", workers, labd.MaxWorkers)
+	}
+	if queue > labd.MaxQueueDepth {
+		return fmt.Errorf("-queue %d exceeds max %d", queue, labd.MaxQueueDepth)
 	}
 	return nil
 }

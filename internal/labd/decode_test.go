@@ -169,8 +169,8 @@ func classroomBodies(t testing.TB) []classroomBody {
 }
 
 // TestDecodeAcceptsClassroomTemplates: every POST template of both
-// classroom mixes is in the strict reader's subset, so registerJSON
-// serves them without encoding/json, and it decodes each to
+// classroom mixes is in the strict reader's subset, so register's
+// parseJSON serves them without encoding/json, and it decodes each to
 // encoding/json's value.
 func TestDecodeAcceptsClassroomTemplates(t *testing.T) {
 	for _, cb := range classroomBodies(t) {

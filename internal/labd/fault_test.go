@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -134,6 +135,66 @@ func TestQueueFull429CarriesRetryAfter(t *testing.T) {
 	wg.Wait()
 }
 
+// TestInvalidRequestRefusedBeforeQueue: with the one worker busy and the
+// one-slot queue full, a request its own fields make invalid, one per
+// endpoint, still gets its 400 and golden body: not a 429 whose
+// Retry-After tells the client to retry what can never succeed. It
+// carries no X-Labd-Cache, and no scheduler or memo counter moves.
+func TestInvalidRequestRefusedBeforeQueue(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	block, started := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(block)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		s.sched.Submit(context.Background(), func(context.Context) {
+			close(started)
+			<-block
+		})
+	}()
+	<-started
+	go func() {
+		defer wg.Done()
+		s.sched.Submit(context.Background(), func(context.Context) {})
+	}()
+	waitFor(t, func() bool { return s.SchedStats().QueueLen == 1 })
+
+	refused := map[string]bool{
+		"asm-source-required": true, "minic-source-required": true, "cache-unknown-write": true,
+		"vm-frames-exceed": true, "life-unknown-partition": true, "homework-n-zero": true,
+		"survey-students-zero": true,
+	}
+	sched, caches := s.SchedStats(), s.CacheStats()
+	h := s.Handler()
+	sent := 0
+	for _, tc := range validationCases {
+		if !refused[tc.name] {
+			continue
+		}
+		sent++
+		rec := serveValidationCase(h, tc.method, tc.path, tc.body)
+		if rec.Code != tc.status || rec.Body.String() != tc.want {
+			t.Errorf("%s: got %d %q\nwant %d %q", tc.name, rec.Code, rec.Body.String(), tc.status, tc.want)
+		}
+		for _, hdr := range []string{cacheHeader, "Retry-After"} {
+			if got := rec.Header().Get(hdr); got != "" {
+				t.Errorf("%s: %s = %q, want none", tc.name, hdr, got)
+			}
+		}
+	}
+	if sent != len(refused) {
+		t.Fatalf("sent %d of the %d named validation cases", sent, len(refused))
+	}
+	if got := s.SchedStats(); got.Submitted != sched.Submitted || got.Rejected != sched.Rejected {
+		t.Errorf("scheduler moved: submitted %d -> %d, rejected %d -> %d", sched.Submitted, got.Submitted, sched.Rejected, got.Rejected)
+	}
+	if got := s.CacheStats(); !reflect.DeepEqual(got, caches) {
+		t.Errorf("memo moved:\n got %+v\nwant %+v", got, caches)
+	}
+}
+
 // TestLifeDistCancelTearsDownWorld is the acceptance check for deadline
 // cancellation through the whole stack: a dist-engine life request whose
 // deadline expires mid-run must return 504 within 100ms of the deadline,
@@ -206,7 +267,7 @@ func TestLifeRunCancelErrorClass(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := s.lifeRun(ctx, s.normalizeLife(LifeRunRequest{
+	_, err := s.lifeRun(ctx, checked(t, s.checkLife, LifeRunRequest{
 		Rows: 512, Cols: 512, Iters: maxLifeIters, Threads: 4, Engine: "dist",
 	}))
 	if !errors.Is(err, context.DeadlineExceeded) {

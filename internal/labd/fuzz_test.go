@@ -12,49 +12,59 @@ import (
 )
 
 // fuzzRoutes are the seven cached endpoints FuzzLabdEndpoints drives,
-// picked by the fuzzer's route byte. For a POST route, normalized decodes
-// a body as labd does, fails t unless the route's normalize is idempotent
-// on it, and reports whether the normalized request measures timings,
+// picked by the fuzzer's route byte. checked parses a request as register
+// does, fails t unless the route's check is idempotent on every request
+// it accepts, and reports whether the checked request measures timings,
 // whose bytes no second server can repeat.
 var fuzzRoutes = []struct {
 	method, path string
-	normalized   func(t *testing.T, s *Server, body []byte) (timed bool)
+	checked      func(t *testing.T, s *Server, r *http.Request) (timed bool)
 }{
-	{"POST", "/v1/asm/run", func(t *testing.T, s *Server, body []byte) bool {
-		checkNormalize(t, body, s.normalizeAsm)
+	{"POST", "/v1/asm/run", func(t *testing.T, s *Server, r *http.Request) bool {
+		checkIdempotent(t, r, parseJSON, s.checkAsm)
 		return false
 	}},
-	{"POST", "/v1/minic/compile", func(t *testing.T, s *Server, body []byte) bool {
-		checkNormalize(t, body, s.normalizeMinic)
+	{"POST", "/v1/minic/compile", func(t *testing.T, s *Server, r *http.Request) bool {
+		checkIdempotent(t, r, parseJSON, s.checkMinic)
 		return false
 	}},
-	{"POST", "/v1/cache/sim", func(t *testing.T, s *Server, body []byte) bool {
-		checkNormalize(t, body, s.normalizeCache)
+	{"POST", "/v1/cache/sim", func(t *testing.T, s *Server, r *http.Request) bool {
+		checkIdempotent(t, r, parseJSON, s.checkCache)
 		return false
 	}},
-	{"POST", "/v1/vm/sim", func(t *testing.T, s *Server, body []byte) bool {
-		checkNormalize(t, body, s.normalizeVM)
+	{"POST", "/v1/vm/sim", func(t *testing.T, s *Server, r *http.Request) bool {
+		checkIdempotent(t, r, parseJSON, s.checkVM)
 		return false
 	}},
-	{"POST", "/v1/life/run", func(t *testing.T, s *Server, body []byte) bool {
-		return checkNormalize(t, body, s.normalizeLife).Speedup
+	{"POST", "/v1/life/run", func(t *testing.T, s *Server, r *http.Request) bool {
+		return checkIdempotent(t, r, parseJSON, s.checkLife).Speedup
 	}},
-	{"GET", "/v1/homework", nil},
-	{"GET", "/v1/survey/figure1", nil},
+	{"GET", "/v1/homework", func(t *testing.T, s *Server, r *http.Request) bool {
+		checkIdempotent(t, r, parseHomework, s.checkHomework)
+		return false
+	}},
+	{"GET", "/v1/survey/figure1", func(t *testing.T, s *Server, r *http.Request) bool {
+		checkIdempotent(t, r, parseSurvey, s.checkSurvey)
+		return false
+	}},
 }
 
-// checkNormalize decodes body into a Req as registerJSON does and, when
-// it decodes, fails t unless normalize is idempotent on it. It returns
-// the normalized request.
-func checkNormalize[Req any](t *testing.T, body []byte, normalize func(Req) Req) Req {
+// checkIdempotent parses r as register does and, when check accepts the
+// request, fails t unless check accepts its own result unchanged. It
+// returns the checked request, or the zero request when parse or check
+// refuses it.
+func checkIdempotent[Req any](t *testing.T, r *http.Request, parse func(*http.Request, *Req) error, check func(Req) (Req, error)) Req {
 	t.Helper()
-	var req Req
-	if decodeBody(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), &req) != nil {
-		return req
+	var req, zero Req
+	if parse(r, &req) != nil {
+		return zero
 	}
-	once := normalize(req)
-	if twice := normalize(once); !reflect.DeepEqual(once, twice) {
-		t.Fatalf("normalize is not idempotent on %q:\n once: %+v\ntwice: %+v", body, once, twice)
+	once, err := check(req)
+	if err != nil {
+		return zero
+	}
+	if twice, err := check(once); err != nil || !reflect.DeepEqual(once, twice) {
+		t.Fatalf("check is not idempotent on %+v:\n once: %+v\ntwice: %+v (%v)", req, once, twice, err)
 	}
 	return once
 }
@@ -74,17 +84,20 @@ func newFuzzServer(t *testing.T, cc CacheConfig) *Server {
 	return s
 }
 
-// serveFuzz sends in to s as a POST body or as a GET query string.
-func serveFuzz(s *Server, method, path, in string) *httptest.ResponseRecorder {
-	var req *http.Request
+// fuzzRequest carries in as a POST body or as a GET query string.
+func fuzzRequest(method, path, in string) *http.Request {
 	if method == http.MethodGet {
-		req = httptest.NewRequest(method, path, nil)
+		req := httptest.NewRequest(method, path, nil)
 		req.URL.RawQuery = in
-	} else {
-		req = httptest.NewRequest(method, path, strings.NewReader(in))
+		return req
 	}
+	return httptest.NewRequest(method, path, strings.NewReader(in))
+}
+
+// serveFuzz sends in to s.
+func serveFuzz(s *Server, method, path, in string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	s.Handler().ServeHTTP(rec, fuzzRequest(method, path, in))
 	return rec
 }
 
@@ -210,8 +223,8 @@ var fuzzPairs = []struct{ path, a, b string }{
 // FuzzLabdEndpoints sends a fuzzed request A, then B, then A again to one
 // of the seven cached endpoints through Server.Handler, once to a cached
 // server and once to a cache-disabled twin, each new for the exec. No
-// response is a 5xx other than a 504, normalize is idempotent on every
-// POST body that decodes, and each response's status and body are the
+// response is a 5xx other than a 504, check is idempotent on every
+// request it accepts, and each response's status and body are the
 // twin's byte for byte: a key that lets A and B share an entry serves
 // one request's answer to the other. Pairs where either server timed out
 // or the request measures timings are not compared.
@@ -233,10 +246,7 @@ func FuzzLabdEndpoints(f *testing.F) {
 		cached := newFuzzServer(t, CacheConfig{})
 		twin := newFuzzServer(t, CacheConfig{MaxBytes: -1})
 		for _, in := range []string{a, b, a} {
-			timed := false
-			if r.normalized != nil {
-				timed = r.normalized(t, cached, []byte(in))
-			}
+			timed := r.checked(t, cached, fuzzRequest(r.method, r.path, in))
 			got := serveFuzz(cached, r.method, r.path, in)
 			want := serveFuzz(twin, r.method, r.path, in)
 			for _, rec := range []*httptest.ResponseRecorder{got, want} {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"strings"
 	"time"
 
@@ -21,20 +22,27 @@ import (
 	"cs31/internal/vm"
 )
 
-// Each POST endpoint has a normalize, a key and a handler, in that order
-// below. registerJSON runs normalize on the decoded request and hands the
-// result to both the key and the handler, which read nothing else.
+// Each endpoint has a check, a key and a handler, in that order below.
+// register parses the request (a POST body or a GET query), runs check on
+// it, and hands the result to both the key and the handler, which read
+// nothing else.
 //
-// normalize fills the handler's defaults, maps equivalent spellings to
-// one form, and zeroes every field the request's shape ignores. It never
-// rejects and never rewrites a value the handler would refuse: validation
-// stays in the handler, so an invalid request keeps its error and cannot
-// alias a valid one in the memo.
+// check fills the handler's defaults, maps equivalent spellings to one
+// form, and zeroes every field the request's shape ignores. It then
+// refuses everything the request's own fields decide (required fields,
+// size bounds, enum names, an invalid cache or VM configuration) in the
+// order the faults are reported, with no pass over a trace. A refused
+// request is answered before the memo and the queue: it takes no worker
+// and no queue slot, and never shares an entry with a valid one. The
+// handler keeps only what running a simulator finds: assembly and compile
+// errors, machine faults and step budgets, the size of mini-C's generated
+// assembly, the VM walk's page-table bound and access errors, and an
+// unknown homework topic.
 //
-// key hashes every field of the normalized request, so two requests share
-// a memo entry exactly when they normalize to the same value. It also
-// reports whether the response is a deterministic function of the request
-// and so may be cached.
+// key hashes every field of the checked request, so two requests share a
+// memo entry exactly when they check to the same value. It also reports
+// whether the response is a deterministic function of the request and so
+// may be cached.
 
 // Request-size guardrails: the daemon serves an open classroom, so every
 // dimension a request controls is bounded before anything is allocated
@@ -106,9 +114,20 @@ type AsmRunResponse struct {
 	Steps      int64  `json:"steps"`
 }
 
-func (s *Server) normalizeAsm(req AsmRunRequest) AsmRunRequest {
+func (s *Server) checkAsm(req AsmRunRequest) (AsmRunRequest, error) {
 	req.MaxSteps = s.stepBudget(req.MaxSteps)
-	return req
+	return req, checkSource(req.Source)
+}
+
+// checkSource refuses an empty or oversized asm or mini-C source.
+func checkSource(src string) error {
+	if src == "" {
+		return badReqf("source is required")
+	}
+	if len(src) > maxSourceBytes {
+		return badReqf("source exceeds %d bytes", maxSourceBytes)
+	}
+	return nil
 }
 
 // stepBudget is the step budget a run gets: the request's own when it is
@@ -130,12 +149,6 @@ func asmKey(req AsmRunRequest) (uint64, bool) {
 
 func (s *Server) asmRun(ctx context.Context, req AsmRunRequest) (AsmRunResponse, error) {
 	var resp AsmRunResponse
-	if req.Source == "" {
-		return resp, badReqf("source is required")
-	}
-	if len(req.Source) > maxSourceBytes {
-		return resp, badReqf("source exceeds %d bytes", maxSourceBytes)
-	}
 	prog, err := asm.Assemble(req.Source)
 	if err != nil {
 		return resp, errBadRequest{err}
@@ -179,14 +192,14 @@ type MinicCompileResponse struct {
 	Steps      int64  `json:"steps,omitempty"`
 }
 
-func (s *Server) normalizeMinic(req MinicCompileRequest) MinicCompileRequest {
-	if !req.Run {
+func (s *Server) checkMinic(req MinicCompileRequest) (MinicCompileRequest, error) {
+	if req.Run {
+		req.MaxSteps = s.stepBudget(req.MaxSteps)
+	} else {
 		// Stdin and the step budget only shape a program that runs.
 		req.Stdin, req.MaxSteps = "", 0
-		return req
 	}
-	req.MaxSteps = s.stepBudget(req.MaxSteps)
-	return req
+	return req, checkSource(req.Source)
 }
 
 func minicKey(req MinicCompileRequest) (uint64, bool) {
@@ -200,21 +213,19 @@ func minicKey(req MinicCompileRequest) (uint64, bool) {
 
 func (s *Server) minicCompile(ctx context.Context, req MinicCompileRequest) (MinicCompileResponse, error) {
 	var resp MinicCompileResponse
-	if req.Source == "" {
-		return resp, badReqf("source is required")
-	}
-	if len(req.Source) > maxSourceBytes {
-		return resp, badReqf("source exceeds %d bytes", maxSourceBytes)
-	}
 	asmSrc, err := minic.Compile(req.Source)
 	if err != nil {
 		return resp, errBadRequest{err}
 	}
 	resp.Assembly = asmSrc
 	if req.Run {
-		run, err := s.asmRun(ctx, AsmRunRequest{
-			Source: asmSrc, Stdin: req.Stdin, MaxSteps: req.MaxSteps,
-		})
+		// A short source can compile to more than maxSourceBytes, so the
+		// generated program meets the asm endpoint's check before it runs.
+		asmReq, err := s.checkAsm(AsmRunRequest{Source: asmSrc, Stdin: req.Stdin, MaxSteps: req.MaxSteps})
+		if err != nil {
+			return resp, err
+		}
+		run, err := s.asmRun(ctx, asmReq)
 		if err != nil {
 			return resp, err
 		}
@@ -262,7 +273,7 @@ type CacheSimResponse struct {
 	Table      string      `json:"table,omitempty"`
 }
 
-func (*Server) normalizeCache(req CacheSimRequest) CacheSimRequest {
+func (*Server) checkCache(req CacheSimRequest) (CacheSimRequest, error) {
 	req.SizeBytes = cmp.Or(req.SizeBytes, 1024)
 	req.BlockSize = cmp.Or(req.BlockSize, 16)
 	req.Assoc = cmp.Or(req.Assoc, 1)
@@ -278,7 +289,50 @@ func (*Server) normalizeCache(req CacheSimRequest) CacheSimRequest {
 		req.Rows = cmp.Or(req.Rows, 64)
 		req.Cols = cmp.Or(req.Cols, 64)
 	}
-	return req
+	cfg, err := cacheConfig(req)
+	if err != nil {
+		return req, errBadRequest{err}
+	}
+
+	// cache.Validate refuses the first two too; checking them first lets
+	// the message name the request's fields (size_bytes, block_size,
+	// assoc). Every other size error keeps Validate's message. table_n
+	// sizes the rendered access table, one row per access.
+	switch {
+	case cfg.SizeBytes > 0 && cfg.BlockSize > 0 && cfg.SizeBytes/cfg.BlockSize > maxCacheLines:
+		return req, badReqf("cache of %d lines exceeds %d (size_bytes/block_size)", cfg.SizeBytes/cfg.BlockSize, maxCacheLines)
+	case cfg.BlockSize > 0 && cfg.Assoc > 0 && cfg.BlockSize > math.MaxInt/cfg.Assoc:
+		return req, badReqf("block_size %d times assoc %d overflows", cfg.BlockSize, cfg.Assoc)
+	case req.TableN > maxTableRows:
+		return req, badReqf("table_n %d exceeds %d", req.TableN, maxTableRows)
+	}
+	switch req.Workload {
+	case "":
+		if len(req.Trace) == 0 {
+			return req, badReqf("provide a trace or a workload")
+		}
+		if len(req.Trace) > maxTraceLen {
+			return req, badReqf("trace exceeds %d accesses", maxTraceLen)
+		}
+	case "rowmajor", "colmajor":
+		if req.Rows < 1 || req.Cols < 1 || req.Rows > maxTraceLen/req.Cols {
+			return req, badReqf("matrix %dx%d out of range", req.Rows, req.Cols)
+		}
+	default:
+		return req, badReqf("unknown workload %q", req.Workload)
+	}
+	if err := cfg.Validate(); err != nil {
+		return req, errBadRequest{err}
+	}
+	return req, nil
+}
+
+// cacheConfig is the cache a request configures, or the error naming its
+// first unknown policy.
+func cacheConfig(req CacheSimRequest) (cfg cache.Config, err error) {
+	cfg = cache.Config{SizeBytes: req.SizeBytes, BlockSize: req.BlockSize, Assoc: req.Assoc}
+	cfg.Write, cfg.Alloc, cfg.Repl, err = cache.ParsePolicies(req.Write, req.Alloc, req.Repl)
+	return cfg, err
 }
 
 func cacheSimKey(req CacheSimRequest) (uint64, bool) {
@@ -303,32 +357,8 @@ func cacheSimKey(req CacheSimRequest) (uint64, bool) {
 
 func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimResponse, error) {
 	var resp CacheSimResponse
-	cfg := cache.Config{SizeBytes: req.SizeBytes, BlockSize: req.BlockSize, Assoc: req.Assoc}
-	var err error
-	cfg.Write, cfg.Alloc, cfg.Repl, err = cache.ParsePolicies(req.Write, req.Alloc, req.Repl)
-	if err != nil {
-		return resp, errBadRequest{err}
-	}
-
-	// cache.Validate refuses both of these too; checking them first lets
-	// the message name the request's fields (size_bytes, block_size,
-	// assoc). Every other size error keeps Validate's message. table_n
-	// sizes the rendered access table, one row per access.
-	if cfg.SizeBytes > 0 && cfg.BlockSize > 0 && cfg.SizeBytes/cfg.BlockSize > maxCacheLines {
-		return resp, badReqf("cache of %d lines exceeds %d (size_bytes/block_size)", cfg.SizeBytes/cfg.BlockSize, maxCacheLines)
-	}
-	if cfg.BlockSize > 0 && cfg.Assoc > 0 && cfg.BlockSize > math.MaxInt/cfg.Assoc {
-		return resp, badReqf("block_size %d times assoc %d overflows", cfg.BlockSize, cfg.Assoc)
-	}
-	if req.TableN > maxTableRows {
-		return resp, badReqf("table_n %d exceeds %d", req.TableN, maxTableRows)
-	}
-
-	trace, err := buildTrace(req)
-	if err != nil {
-		return resp, err
-	}
-
+	cfg, _ := cacheConfig(req) // checkCache refused every unknown policy
+	trace := buildTrace(req)
 	c, err := cache.New(cfg)
 	if err != nil {
 		return resp, errBadRequest{err}
@@ -349,31 +379,20 @@ func (s *Server) cacheSim(_ context.Context, req CacheSimRequest) (CacheSimRespo
 	return resp, nil
 }
 
-func buildTrace(req CacheSimRequest) ([]memhier.Access, error) {
+// buildTrace is the trace a checked request replays: its built-in
+// workload's, or its own.
+func buildTrace(req CacheSimRequest) []memhier.Access {
 	switch req.Workload {
-	case "":
-		if len(req.Trace) == 0 {
-			return nil, badReqf("provide a trace or a workload")
-		}
-		if len(req.Trace) > maxTraceLen {
-			return nil, badReqf("trace exceeds %d accesses", maxTraceLen)
-		}
-		trace := make([]memhier.Access, len(req.Trace))
-		for i, a := range req.Trace {
-			trace[i] = memhier.Access{Addr: a.Addr, Write: a.Write}
-		}
-		return trace, nil
-	case "rowmajor", "colmajor":
-		if req.Rows < 1 || req.Cols < 1 || req.Rows > maxTraceLen/req.Cols {
-			return nil, badReqf("matrix %dx%d out of range", req.Rows, req.Cols)
-		}
-		if req.Workload == "rowmajor" {
-			return memhier.MatrixTraceRowMajor(0, req.Rows, req.Cols, 4), nil
-		}
-		return memhier.MatrixTraceColMajor(0, req.Rows, req.Cols, 4), nil
-	default:
-		return nil, badReqf("unknown workload %q", req.Workload)
+	case "rowmajor":
+		return memhier.MatrixTraceRowMajor(0, req.Rows, req.Cols, 4)
+	case "colmajor":
+		return memhier.MatrixTraceColMajor(0, req.Rows, req.Cols, 4)
 	}
+	trace := make([]memhier.Access, len(req.Trace))
+	for i, a := range req.Trace {
+		trace[i] = memhier.Access{Addr: a.Addr, Write: a.Write}
+	}
+	return trace
 }
 
 // --- POST /v1/vm/sim --------------------------------------------------
@@ -403,12 +422,30 @@ type VMSimResponse struct {
 	EffectiveAccessNs float64  `json:"effective_access_ns"` // RAM 100ns, fault 8ms
 }
 
-func (*Server) normalizeVM(req VMSimRequest) VMSimRequest {
+func (*Server) checkVM(req VMSimRequest) (VMSimRequest, error) {
 	req.PageSize = cmp.Or(req.PageSize, 256)
 	req.NumFrames = cmp.Or(req.NumFrames, 8)
 	req.TLBSize = cmp.Or(req.TLBSize, 4)
 	req.NumPages = cmp.Or(req.NumPages, 64)
-	return req
+	switch {
+	case len(req.Trace) == 0:
+		return req, badReqf("trace is required")
+	case len(req.Trace) > maxTraceLen:
+		return req, badReqf("trace exceeds %d accesses", maxTraceLen)
+	case req.NumFrames > maxVMFrames:
+		return req, badReqf("num_frames %d exceeds %d", req.NumFrames, maxVMFrames)
+	case req.TLBSize > maxTLBEntries:
+		return req, badReqf("tlb_size %d exceeds %d", req.TLBSize, maxTLBEntries)
+	}
+	if err := vmConfig(req).Validate(); err != nil {
+		return req, errBadRequest{err}
+	}
+	return req, nil
+}
+
+// vmConfig is the machine a request configures.
+func vmConfig(req VMSimRequest) vm.Config {
+	return vm.Config{PageSize: req.PageSize, NumFrames: req.NumFrames, TLBSize: req.TLBSize, NumPages: req.NumPages}
 }
 
 func vmSimKey(req VMSimRequest) (uint64, bool) {
@@ -428,23 +465,7 @@ func vmSimKey(req VMSimRequest) (uint64, bool) {
 
 func (s *Server) vmSim(_ context.Context, req VMSimRequest) (VMSimResponse, error) {
 	var resp VMSimResponse
-	cfg := vm.Config{
-		PageSize: req.PageSize, NumFrames: req.NumFrames,
-		TLBSize: req.TLBSize, NumPages: req.NumPages,
-	}
-	if len(req.Trace) == 0 {
-		return resp, badReqf("trace is required")
-	}
-	if len(req.Trace) > maxTraceLen {
-		return resp, badReqf("trace exceeds %d accesses", maxTraceLen)
-	}
-	if cfg.NumFrames > maxVMFrames {
-		return resp, badReqf("num_frames %d exceeds %d", cfg.NumFrames, maxVMFrames)
-	}
-	if cfg.TLBSize > maxTLBEntries {
-		return resp, badReqf("tlb_size %d exceeds %d", cfg.TLBSize, maxTLBEntries)
-	}
-	sys, err := vm.New(cfg)
+	sys, err := vm.New(vmConfig(req))
 	if err != nil {
 		return resp, errBadRequest{err}
 	}
@@ -453,8 +474,8 @@ func (s *Server) vmSim(_ context.Context, req VMSimRequest) (VMSimResponse, erro
 		pid := vm.Pid(a.Pid)
 		if !known[pid] {
 			// Each process gets a num_pages page table.
-			if procs := uint64(len(known) + 1); procs > maxPageEntries/cfg.NumPages {
-				return resp, badReqf("access %d: %d processes of %d pages exceed %d page-table entries", i, procs, cfg.NumPages, maxPageEntries)
+			if procs := uint64(len(known) + 1); procs > maxPageEntries/req.NumPages {
+				return resp, badReqf("access %d: %d processes of %d pages exceed %d page-table entries", i, procs, req.NumPages, maxPageEntries)
 			}
 			if err := sys.AddProcess(pid); err != nil {
 				return resp, badReqf("access %d: %v", i, err)
@@ -519,7 +540,7 @@ type LifeRunResponse struct {
 	Scaling     []LifeScalingPoint `json:"scaling,omitempty"`
 }
 
-func (*Server) normalizeLife(req LifeRunRequest) LifeRunRequest {
+func (*Server) checkLife(req LifeRunRequest) (LifeRunRequest, error) {
 	req.Rows = cmp.Or(req.Rows, 32)
 	req.Cols = cmp.Or(req.Cols, 32)
 	req.Iters = cmp.Or(req.Iters, 20)
@@ -533,7 +554,23 @@ func (*Server) normalizeLife(req LifeRunRequest) LifeRunRequest {
 		// has no scaling to measure.
 		req.Threads, req.Speedup = 1, false
 	}
-	return req
+	switch {
+	case req.Rows < 1 || req.Cols < 1 || req.Rows > maxGridCells/req.Cols:
+		return req, badReqf("grid %dx%d out of range (max %d cells)", req.Rows, req.Cols, maxGridCells)
+	case req.Iters < 1 || req.Iters > maxLifeIters:
+		return req, badReqf("iters %d out of range [1,%d]", req.Iters, maxLifeIters)
+	case req.Threads > maxLifeThreads:
+		return req, badReqf("threads %d exceeds max %d", req.Threads, maxLifeThreads)
+	case req.Density < 0 || req.Density > 1:
+		return req, badReqf("density %v outside [0,1]", req.Density)
+	case req.Partition != "rows" && req.Partition != "cols":
+		return req, badReqf("unknown partition %q", req.Partition)
+	case req.Engine != "parallel" && req.Engine != "dist":
+		return req, badReqf("unknown engine %q", req.Engine)
+	case req.Engine == "dist" && req.Partition != "rows":
+		return req, badReqf("dist engine shards by rows only")
+	}
+	return req, nil
 }
 
 func lifeKey(req LifeRunRequest) (uint64, bool) {
@@ -555,38 +592,10 @@ func lifeKey(req LifeRunRequest) (uint64, bool) {
 
 func (s *Server) lifeRun(ctx context.Context, req LifeRunRequest) (LifeRunResponse, error) {
 	var resp LifeRunResponse
-	if req.Rows < 1 || req.Cols < 1 || req.Rows > maxGridCells/req.Cols {
-		return resp, badReqf("grid %dx%d out of range (max %d cells)", req.Rows, req.Cols, maxGridCells)
-	}
-	if req.Iters < 1 || req.Iters > maxLifeIters {
-		return resp, badReqf("iters %d out of range [1,%d]", req.Iters, maxLifeIters)
-	}
-	if req.Threads > maxLifeThreads {
-		return resp, badReqf("threads %d exceeds max %d", req.Threads, maxLifeThreads)
-	}
-	if req.Density < 0 || req.Density > 1 {
-		return resp, badReqf("density %v outside [0,1]", req.Density)
-	}
-	part := life.ByRows
-	switch req.Partition {
-	case "rows":
-	case "cols":
+	part, dist := life.ByRows, req.Engine == "dist"
+	if req.Partition == "cols" {
 		part = life.ByCols
-	default:
-		return resp, badReqf("unknown partition %q", req.Partition)
 	}
-	var dist bool
-	switch req.Engine {
-	case "parallel":
-	case "dist":
-		if part != life.ByRows {
-			return resp, badReqf("dist engine shards by rows only")
-		}
-		dist = true
-	default:
-		return resp, badReqf("unknown engine %q", req.Engine)
-	}
-
 	g, err := life.NewGrid(req.Rows, req.Cols, life.Torus)
 	if err != nil {
 		return resp, errBadRequest{err}
@@ -659,33 +668,57 @@ type HomeworkResponse struct {
 	Problems []HomeworkProblem `json:"problems,omitempty"`
 }
 
-// homeworkKey hashes the parsed query. For the topic listing (no topic)
-// the query parse zeroes the other parameters, which it ignores.
-func homeworkKey(topic string, seed int64, n int, answers bool) uint64 {
-	k := memo.NewKey(saltFor("homework"))
-	k.Str("topic", topic)
-	k.Int("seed", seed)
-	k.Int("n", int64(n))
-	k.Bool("answers", answers)
-	return k.Sum()
+// homeworkRequest is GET /v1/homework's parsed query.
+type homeworkRequest struct {
+	Topic   string
+	Seed    int64
+	N       int64
+	Answers bool
 }
 
-func (s *Server) homeworkGen(_ context.Context, topic string, seed int64, n int, answers bool) (HomeworkResponse, error) {
+func parseHomework(r *http.Request, req *homeworkRequest) (err error) {
+	q := r.URL.Query()
+	req.Topic, req.Answers = q.Get("topic"), q.Get("answers") != "false"
+	if req.Seed, err = queryInt64("seed", q.Get("seed"), 31); err != nil {
+		return err
+	}
+	req.N, err = queryInt64("n", q.Get("n"), 1)
+	return err
+}
+
+func (*Server) checkHomework(req homeworkRequest) (homeworkRequest, error) {
+	if req.Topic == "" {
+		// The topic listing ignores every other parameter.
+		return homeworkRequest{}, nil
+	}
+	if req.N < 1 || req.N > maxProblems {
+		return req, badReqf("n %d out of range [1,%d]", req.N, maxProblems)
+	}
+	return req, nil
+}
+
+func homeworkKey(req homeworkRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("homework"))
+	k.Str("topic", req.Topic)
+	k.Int("seed", req.Seed)
+	k.Int("n", req.N)
+	k.Bool("answers", req.Answers)
+	return k.Sum(), true
+}
+
+func (s *Server) homeworkGen(_ context.Context, req homeworkRequest) (HomeworkResponse, error) {
 	var resp HomeworkResponse
-	if topic == "" {
+	if req.Topic == "" {
 		resp.Topics = homework.Topics()
 		return resp, nil
 	}
-	if n < 1 || n > maxProblems {
-		return resp, badReqf("n %d out of range [1,%d]", n, maxProblems)
-	}
-	probs, err := homework.Generate(topic, seed, n)
+	probs, err := homework.Generate(req.Topic, req.Seed, int(req.N))
 	if err != nil {
 		return resp, errBadRequest{err}
 	}
 	for _, p := range probs {
 		hp := HomeworkProblem{Topic: p.Topic, Prompt: p.Prompt}
-		if answers {
+		if req.Answers {
 			hp.Solution = p.Solution
 		}
 		resp.Problems = append(resp.Problems, hp)
@@ -704,25 +737,44 @@ type SurveyFigureResponse struct {
 	ShapeProblems []string           `json:"shape_problems,omitempty"`
 }
 
-func surveyKey(seed int64, students int) uint64 {
-	k := memo.NewKey(saltFor("survey"))
-	k.Int("seed", seed)
-	k.Int("students", int64(students))
-	return k.Sum()
+// surveyRequest is GET /v1/survey/figure1's parsed query.
+type surveyRequest struct {
+	Seed     int64
+	Students int64
 }
 
-func (s *Server) surveyFigure1(_ context.Context, seed int64, students int) (SurveyFigureResponse, error) {
-	var resp SurveyFigureResponse
-	if students < 1 || students > maxStudents {
-		return resp, badReqf("students %d out of range [1,%d]", students, maxStudents)
+func parseSurvey(r *http.Request, req *surveyRequest) (err error) {
+	q := r.URL.Query()
+	if req.Seed, err = queryInt64("seed", q.Get("seed"), 2022); err != nil {
+		return err
 	}
-	cohort := survey.SyntheticCohort(seed, students)
+	req.Students, err = queryInt64("students", q.Get("students"), 120)
+	return err
+}
+
+func (*Server) checkSurvey(req surveyRequest) (surveyRequest, error) {
+	if req.Students < 1 || req.Students > maxStudents {
+		return req, badReqf("students %d out of range [1,%d]", req.Students, maxStudents)
+	}
+	return req, nil
+}
+
+func surveyKey(req surveyRequest) (uint64, bool) {
+	k := memo.NewKey(saltFor("survey"))
+	k.Int("seed", req.Seed)
+	k.Int("students", req.Students)
+	return k.Sum(), true
+}
+
+func (s *Server) surveyFigure1(_ context.Context, req surveyRequest) (SurveyFigureResponse, error) {
+	var resp SurveyFigureResponse
+	cohort := survey.SyntheticCohort(req.Seed, int(req.Students))
 	stats, err := cohort.Aggregate()
 	if err != nil {
 		return resp, errBadRequest{err}
 	}
-	resp.Students = students
-	resp.Seed = seed
+	resp.Students = int(req.Students)
+	resp.Seed = req.Seed
 	resp.Stats = stats
 	resp.Figure = survey.RenderFigure1(stats)
 	resp.ShapeProblems = survey.CheckPaperShape(cohort.Topics, stats)

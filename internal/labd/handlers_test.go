@@ -64,6 +64,17 @@ func getURL(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
+// checked runs an endpoint's check on req, as register does before the
+// key and the handler, and fails t if check refuses it.
+func checked[Req any](t testing.TB, check func(Req) (Req, error), req Req) Req {
+	t.Helper()
+	req, err := check(req)
+	if err != nil {
+		t.Fatalf("check refused %+v: %v", req, err)
+	}
+	return req
+}
+
 func decode[T any](t *testing.T, raw []byte) T {
 	t.Helper()
 	var v T

@@ -41,19 +41,15 @@ func boolWord(b bool) uint64 {
 }
 
 // cachedEndpoints names every deterministic endpoint, in route order.
-// These are the keys of Config.Cache.DisableEndpoints and of the
-// labd.cache.* debug vars.
+// These are the keys of the labd.cache.* debug vars.
 var cachedEndpoints = []string{"asm", "minic", "cache", "vm", "life", "homework", "survey"}
 
 // CacheConfig sizes the response memoization layer.
 type CacheConfig struct {
 	// MaxBytes is the total resident-byte budget, split evenly across
-	// the enabled endpoints. Zero selects DefaultCacheBytes; a negative
-	// budget turns memoization off entirely (every request computes).
+	// the endpoints. Zero selects DefaultCacheBytes; a negative budget
+	// turns memoization off entirely (every request computes).
 	MaxBytes int64
-	// DisableEndpoints lists endpoint names (see cachedEndpoints) to
-	// serve uncached while the rest stay memoized.
-	DisableEndpoints []string
 }
 
 func (c *CacheConfig) fillDefaults() {
@@ -62,30 +58,15 @@ func (c *CacheConfig) fillDefaults() {
 	}
 }
 
-// initCaches builds one memo.Cache per enabled endpoint. Separate caches
-// (rather than one shared keyspace) give per-endpoint capacity, per-
-// endpoint hit ratios, and freedom to disable one endpoint without
-// touching the rest.
+// initCaches builds one memo.Cache per endpoint. Separate caches (rather
+// than one shared keyspace) give per-endpoint capacity and per-endpoint
+// hit ratios.
 func (s *Server) initCaches() {
-	cc := s.cfg.Cache
-	if cc.MaxBytes < 0 {
+	if s.cfg.Cache.MaxBytes < 0 {
 		return
 	}
-	disabled := make(map[string]bool, len(cc.DisableEndpoints))
-	for _, name := range cc.DisableEndpoints {
-		disabled[strings.TrimSpace(name)] = true
-	}
-	var enabled []string
+	share := s.cfg.Cache.MaxBytes / int64(len(cachedEndpoints))
 	for _, name := range cachedEndpoints {
-		if !disabled[name] {
-			enabled = append(enabled, name)
-		}
-	}
-	if len(enabled) == 0 {
-		return
-	}
-	share := cc.MaxBytes / int64(len(enabled))
-	for _, name := range enabled {
 		s.caches[name] = memo.New(share, 0)
 	}
 }

@@ -233,11 +233,11 @@ func otherValue(t *testing.T, v reflect.Value) {
 	}
 }
 
-// TestKeyHashesEveryField: setting any one field of a normalized request
-// to a second value changes its memo key. So does adding a trace element
-// or changing any field of one, and changing any homework or survey query
-// parameter. A field added to a request type but not to its key, which
-// would let two different requests share an entry, fails here.
+// TestKeyHashesEveryField: setting any one field of a checked request,
+// a POST body or a homework or survey query, to a second value changes
+// its memo key. So does adding a trace element or changing any field of
+// one. A field added to a request type but not to its key, which would
+// let two different requests share an entry, fails here.
 func TestKeyHashesEveryField(t *testing.T) {
 	s := New(Config{Workers: 1})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
@@ -245,11 +245,13 @@ func TestKeyHashesEveryField(t *testing.T) {
 		req any
 		key func(any) uint64
 	}{
-		{s.normalizeAsm(AsmRunRequest{Source: "main:", Stdin: "1"}), keyOf(asmKey)},
-		{s.normalizeMinic(MinicCompileRequest{Source: "int main() { return 0; }", Run: true, Stdin: "1"}), keyOf(minicKey)},
-		{s.normalizeCache(CacheSimRequest{Trace: []TraceAccess{{Addr: 64, Write: true}}, TableN: 2}), keyOf(cacheSimKey)},
-		{s.normalizeVM(VMSimRequest{Trace: []VMAccess{{Pid: 1, Addr: 64, Write: true}}}), keyOf(vmSimKey)},
-		{s.normalizeLife(LifeRunRequest{Threads: 2, Speedup: true}), keyOf(lifeKey)},
+		{checked(t, s.checkAsm, AsmRunRequest{Source: "main:", Stdin: "1"}), keyOf(asmKey)},
+		{checked(t, s.checkMinic, MinicCompileRequest{Source: "int main() { return 0; }", Run: true, Stdin: "1"}), keyOf(minicKey)},
+		{checked(t, s.checkCache, CacheSimRequest{Trace: []TraceAccess{{Addr: 64, Write: true}}, TableN: 2}), keyOf(cacheSimKey)},
+		{checked(t, s.checkVM, VMSimRequest{Trace: []VMAccess{{Pid: 1, Addr: 64, Write: true}}}), keyOf(vmSimKey)},
+		{checked(t, s.checkLife, LifeRunRequest{Threads: 2, Speedup: true}), keyOf(lifeKey)},
+		{checked(t, s.checkHomework, homeworkRequest{Topic: "binary-conversion", Seed: 5, N: 2, Answers: true}), keyOf(homeworkKey)},
+		{checked(t, s.checkSurvey, surveyRequest{Seed: 7, Students: 25}), keyOf(surveyKey)},
 	}
 	for _, c := range cases {
 		base := reflect.ValueOf(c.req)
@@ -284,24 +286,6 @@ func TestKeyHashesEveryField(t *testing.T) {
 				what := name + "[0]." + elems.Type().Elem().Field(j).Name
 				changed(what, func(v reflect.Value) { otherValue(t, copyElems(v, 0).Index(0).Field(j)) })
 			}
-		}
-	}
-
-	hw := homeworkKey("binary-conversion", 5, 2, true)
-	for what, k := range map[string]uint64{
-		"topic":   homeworkKey("binary-arithmetic", 5, 2, true),
-		"seed":    homeworkKey("binary-conversion", 6, 2, true),
-		"n":       homeworkKey("binary-conversion", 5, 3, true),
-		"answers": homeworkKey("binary-conversion", 5, 2, false),
-	} {
-		if k == hw {
-			t.Errorf("homework key ignores %s", what)
-		}
-	}
-	sv := surveyKey(7, 25)
-	for what, k := range map[string]uint64{"seed": surveyKey(8, 25), "students": surveyKey(7, 26)} {
-		if k == sv {
-			t.Errorf("survey key ignores %s", what)
 		}
 	}
 }
@@ -374,13 +358,14 @@ func TestCacheCoalescing(t *testing.T) {
 	}
 }
 
-// TestCacheErrorsNotCached: a failing request recomputes every time and
+// TestCacheErrorsNotCached: a request that fails only when its handler
+// runs (a source that does not assemble) recomputes every time and
 // leaves nothing resident.
 func TestCacheErrorsNotCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	bad := []byte(`{"partition":"diagonal"}`)
+	bad := []byte(`{"source":"main:\n    movq $1, %eax\n"}`)
 	for i := 0; i < 2; i++ {
-		resp, _ := doRequest(t, "POST", ts.URL+"/v1/life/run", bad, "")
+		resp, _ := doRequest(t, "POST", ts.URL+"/v1/asm/run", bad, "")
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("request %d: status %d, want 400", i, resp.StatusCode)
 		}
@@ -389,7 +374,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 		}
 	}
 	for _, cs := range s.CacheStats() {
-		if cs.Endpoint == "life" {
+		if cs.Endpoint == "asm" {
 			if cs.Entries != 0 || cs.Bytes != 0 {
 				t.Errorf("error response resident: %+v", cs)
 			}
@@ -434,26 +419,6 @@ func TestCacheNoStoreBypasses(t *testing.T) {
 		if cs.Endpoint == "life" && cs.Entries != 0 {
 			t.Errorf("no-store populated the cache: %+v", cs)
 		}
-	}
-}
-
-// TestCacheDisabledEndpoint: per-endpoint disable leaves that endpoint
-// uncached (no header) while the others stay memoized.
-func TestCacheDisabledEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2,
-		Cache: CacheConfig{DisableEndpoints: []string{"life"}}})
-	body := []byte(`{"rows":8,"cols":8,"iters":2}`)
-	for i := 0; i < 2; i++ {
-		resp, _ := doRequest(t, "POST", ts.URL+"/v1/life/run", body, "")
-		if got := resp.Header.Get(cacheHeader); got != "" {
-			t.Errorf("disabled endpoint sent %s = %q", cacheHeader, got)
-		}
-	}
-	asmBody := []byte(endpointProbes[0].body)
-	doRequest(t, "POST", ts.URL+"/v1/asm/run", asmBody, "")
-	resp, _ := doRequest(t, "POST", ts.URL+"/v1/asm/run", asmBody, "")
-	if got := resp.Header.Get(cacheHeader); got != "hit" {
-		t.Errorf("asm stayed uncached alongside disabled life: %s = %q", cacheHeader, got)
 	}
 }
 

@@ -2,7 +2,6 @@ package labd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -15,12 +14,20 @@ import (
 	"cs31/internal/obs"
 )
 
+// MaxWorkers and MaxQueueDepth bound Config's pool: every worker starts
+// a goroutine and owns histogram shards, and every queue slot is
+// allocated up front. cmd/labd refuses larger flags.
+const (
+	MaxWorkers    = 1024
+	MaxQueueDepth = 1 << 16
+)
+
 // Config parameterizes the daemon. Zero values select defaults sized to
 // the host: GOMAXPROCS workers, a queue 4x as deep, 10s request budget,
 // a DefaultCacheBytes memoization budget.
 type Config struct {
-	Workers        int           // worker pool size
-	QueueDepth     int           // bounded queue capacity
+	Workers        int           // worker pool size, at most MaxWorkers
+	QueueDepth     int           // bounded queue capacity, at most MaxQueueDepth
 	DefaultTimeout time.Duration // per-request deadline when the client sets none
 	MaxSteps       int64         // hard cap on machine instruction budgets
 	Logger         *slog.Logger  // structured request log; nil disables
@@ -77,50 +84,13 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) routes() {
-	registerJSON(s, "POST /v1/asm/run", "asm", s.normalizeAsm, asmKey, s.asmRun)
-	registerJSON(s, "POST /v1/minic/compile", "minic", s.normalizeMinic, minicKey, s.minicCompile)
-	registerJSON(s, "POST /v1/cache/sim", "cache", s.normalizeCache, cacheSimKey, s.cacheSim)
-	registerJSON(s, "POST /v1/vm/sim", "vm", s.normalizeVM, vmSimKey, s.vmSim)
-	registerJSON(s, "POST /v1/life/run", "life", s.normalizeLife, lifeKey, s.lifeRun)
-	s.handle("GET /v1/homework", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		topic := q.Get("topic")
-		seed, err := queryInt64("seed", q.Get("seed"), 31)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-		n64, err := queryInt64("n", q.Get("n"), 1)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-		answers := q.Get("answers") != "false"
-		if topic == "" {
-			// The topic listing ignores every other parameter.
-			seed, n64, answers = 0, 0, false
-		}
-		key := homeworkKey(topic, seed, int(n64), answers)
-		s.serveCached(w, r, "homework", key, true, func(ctx context.Context) (any, error) {
-			return s.homeworkGen(ctx, topic, seed, int(n64), answers)
-		})
-	})
-	s.handle("GET /v1/survey/figure1", func(w http.ResponseWriter, r *http.Request) {
-		seed, err := queryInt64("seed", r.URL.Query().Get("seed"), 2022)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-		st64, err := queryInt64("students", r.URL.Query().Get("students"), 120)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-		key := surveyKey(seed, int(st64))
-		s.serveCached(w, r, "survey", key, true, func(ctx context.Context) (any, error) {
-			return s.surveyFigure1(ctx, seed, int(st64))
-		})
-	})
+	register(s, "POST /v1/asm/run", "asm", parseJSON, s.checkAsm, asmKey, s.asmRun)
+	register(s, "POST /v1/minic/compile", "minic", parseJSON, s.checkMinic, minicKey, s.minicCompile)
+	register(s, "POST /v1/cache/sim", "cache", parseJSON, s.checkCache, cacheSimKey, s.cacheSim)
+	register(s, "POST /v1/vm/sim", "vm", parseJSON, s.checkVM, vmSimKey, s.vmSim)
+	register(s, "POST /v1/life/run", "life", parseJSON, s.checkLife, lifeKey, s.lifeRun)
+	register(s, "GET /v1/homework", "homework", parseHomework, s.checkHomework, homeworkKey, s.homeworkGen)
+	register(s, "GET /v1/survey/figure1", "survey", parseSurvey, s.checkSurvey, surveyKey, s.surveyFigure1)
 	s.handle("GET /healthz", s.healthz)
 	s.handle("GET /debug/vars", s.debugVars)
 	s.handle("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -235,18 +205,23 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v in the one response format, encodeBody's, which is
+// also what the memo caches.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, _ := encodeBody(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b)
 }
 
-// httpStatusFor maps handler/scheduler errors onto HTTP statuses.
+// httpStatusFor maps parse, check, handler and scheduler errors onto HTTP
+// statuses.
 func httpStatusFor(err error) int {
+	var tooBig *http.MaxBytesError
 	var br errBadRequest
 	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
 	case errors.As(err, &br):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
@@ -276,28 +251,38 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// registerJSON adapts a typed request/response handler onto the memoized
-// queued path: decode the JSON body (1 MiB cap) up front and normalize
-// it, key the normalized request, then serve from cache or run the
-// simulator work on it through the pool and encode the reply.
-func registerJSON[Req, Resp any](s *Server, pattern, endpoint string, normalize func(Req) Req, keyFn func(Req) (uint64, bool), fn func(ctx context.Context, req Req) (Resp, error)) {
+// register mounts one endpoint on the checked, memoized, queued path:
+// parse the request in the HTTP goroutine, check it, key the checked
+// request, then serve it from the memo or run the handler on it through
+// the pool and encode the reply. A parse or check error is answered here,
+// before the memo and the queue. parse fills the variable the handler
+// closes over: a parse that returned the request by value would cost
+// every cache hit one more allocation.
+func register[Req, Resp any](s *Server, pattern, endpoint string, parse func(*http.Request, *Req) error, check func(Req) (Req, error), key func(Req) (uint64, bool), run func(context.Context, Req) (Resp, error)) {
 	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := decodeBody(r, &req); err != nil {
-			status := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeJSON(w, status, errorBody{Error: "decode request: " + err.Error()})
+		err := parse(r, &req)
+		if err == nil {
+			req, err = check(req)
+		}
+		if err != nil {
+			s.writeError(w, err)
 			return
 		}
-		req = normalize(req)
-		key, cacheable := keyFn(req)
-		s.serveCached(w, r, endpoint, key, cacheable, func(ctx context.Context) (any, error) {
-			return fn(ctx, req)
+		k, cacheable := key(req)
+		s.serveCached(w, r, endpoint, k, cacheable, func(ctx context.Context) (any, error) {
+			return run(ctx, req)
 		})
 	})
+}
+
+// parseJSON decodes a POST body (1 MiB cap). Every failure is the
+// client's: a 413 past the cap, a 400 otherwise.
+func parseJSON[Req any](r *http.Request, req *Req) error {
+	if err := decodeBody(r, req); err != nil {
+		return badReqf("decode request: %w", err)
+	}
+	return nil
 }
 
 // healthzBody is the GET /healthz response.

@@ -1,7 +1,6 @@
 package labd
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +17,7 @@ const goldenMaxSteps = 1000
 // requests with several faults, which pin the order the checks run in.
 // Four size bounds (asm and mini-C source over maxSourceBytes, a cache
 // or VM trace over maxTraceLen) need more than a 1 MiB body can hold;
-// directValidationCases covers them by calling the handler itself.
+// directValidationCases covers them by calling the endpoint's check.
 // vmSim's AddProcess and Switch errors are not here: the handler only
 // adds a pid it has not seen and only switches to one it has added, so
 // no request reaches them.
@@ -515,37 +514,37 @@ var validationCases = []struct {
 	},
 }
 
-// directValidationCases run a handler on a request no HTTP body can
-// carry, normalized as registerJSON would.
+// directValidationCases run an endpoint's check on a request no HTTP
+// body can carry.
 var directValidationCases = []struct {
 	name   string
-	run    func(ctx context.Context, s *Server) error
+	run    func(s *Server) error
 	status int
 	want   string
 }{
-	{name: "asm-source-exceeds", run: func(ctx context.Context, s *Server) error {
-		_, err := s.asmRun(ctx, s.normalizeAsm(AsmRunRequest{Source: strings.Repeat("a", maxSourceBytes+1)}))
+	{name: "asm-source-exceeds", run: func(s *Server) error {
+		_, err := s.checkAsm(AsmRunRequest{Source: strings.Repeat("a", maxSourceBytes+1)})
 		return err
 	}, status: 400, want: `{
   "error": "source exceeds 1048576 bytes"
 }
 `},
-	{name: "minic-source-exceeds", run: func(ctx context.Context, s *Server) error {
-		_, err := s.minicCompile(ctx, s.normalizeMinic(MinicCompileRequest{Source: strings.Repeat("a", maxSourceBytes+1)}))
+	{name: "minic-source-exceeds", run: func(s *Server) error {
+		_, err := s.checkMinic(MinicCompileRequest{Source: strings.Repeat("a", maxSourceBytes+1)})
 		return err
 	}, status: 400, want: `{
   "error": "source exceeds 1048576 bytes"
 }
 `},
-	{name: "cache-trace-exceeds", run: func(ctx context.Context, s *Server) error {
-		_, err := s.cacheSim(ctx, s.normalizeCache(CacheSimRequest{Trace: make([]TraceAccess, maxTraceLen+1)}))
+	{name: "cache-trace-exceeds", run: func(s *Server) error {
+		_, err := s.checkCache(CacheSimRequest{Trace: make([]TraceAccess, maxTraceLen+1)})
 		return err
 	}, status: 400, want: `{
   "error": "trace exceeds 1048576 accesses"
 }
 `},
-	{name: "vm-trace-exceeds", run: func(ctx context.Context, s *Server) error {
-		_, err := s.vmSim(ctx, s.normalizeVM(VMSimRequest{Trace: make([]VMAccess, maxTraceLen+1)}))
+	{name: "vm-trace-exceeds", run: func(s *Server) error {
+		_, err := s.checkVM(VMSimRequest{Trace: make([]VMAccess, maxTraceLen+1)})
 		return err
 	}, status: 400, want: `{
   "error": "trace exceeds 1048576 accesses"
@@ -553,30 +552,37 @@ var directValidationCases = []struct {
 `},
 }
 
+// serveValidationCase sends one validationCases request to h.
+func serveValidationCase(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	var req *http.Request
+	if method == http.MethodGet {
+		req = httptest.NewRequest(method, path, nil)
+	} else {
+		req = httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
 // TestValidationErrorsGolden pins the status and body labd answers each
 // invalid request with, as recorded while every handler still filled in
-// its own defaults: normalizing a request first must leave an invalid
-// one its error and the order its faults are reported in.
+// and checked its own fields: checking a request before the memo and the
+// queue must leave an invalid one its error and the order its faults are
+// reported in.
 func TestValidationErrorsGolden(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxSteps: goldenMaxSteps})
 	h := s.Handler()
 	for _, tc := range validationCases {
-		var req *http.Request
-		if tc.method == http.MethodGet {
-			req = httptest.NewRequest(tc.method, tc.path, nil)
-		} else {
-			req = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
-			req.Header.Set("Content-Type", "application/json")
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		rec := serveValidationCase(h, tc.method, tc.path, tc.body)
 		if rec.Code != tc.status || rec.Body.String() != tc.want {
 			t.Errorf("%s: got %d %q\nwant %d %q", tc.name, rec.Code, rec.Body.String(), tc.status, tc.want)
 		}
 	}
 	for _, tc := range directValidationCases {
 		rec := httptest.NewRecorder()
-		s.writeError(rec, tc.run(context.Background(), s))
+		s.writeError(rec, tc.run(s))
 		if rec.Code != tc.status || rec.Body.String() != tc.want {
 			t.Errorf("%s: got %d %q\nwant %d %q", tc.name, rec.Code, rec.Body.String(), tc.status, tc.want)
 		}

@@ -33,33 +33,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous metric. Safe on a nil receiver.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histBuckets is the number of power-of-two buckets: bucket i counts
 // observations v (nanoseconds) with v <= 2^i, i.e. i = bits.Len64(v-1);
 // bucket 0 holds v <= 1 and the last bucket everything else.
@@ -205,7 +178,6 @@ const (
 type series struct {
 	labels  string // rendered label pairs without braces, "" for none
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() int64
 }
@@ -268,19 +240,6 @@ func (r *Registry) Counter(name, help, labels string) *Counter {
 	s := &series{labels: labels, counter: &Counter{}}
 	f.series = append(f.series, s)
 	return s.counter
-}
-
-// Gauge registers (or finds) a gauge series.
-func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, kindGauge)
-	if s := f.find(labels); s != nil {
-		return s.gauge
-	}
-	s := &series{labels: labels, gauge: &Gauge{}}
-	f.series = append(f.series, s)
-	return s.gauge
 }
 
 // CounterFunc registers a counter series whose value is read from fn
@@ -382,8 +341,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s_count%s %d\n", f.name, wrapLabels(s.labels), snap.Count)
 			case s.counter != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, wrapLabels(s.labels), s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, wrapLabels(s.labels), s.gauge.Value())
 			case s.fn != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, wrapLabels(s.labels), s.fn())
 			}

@@ -119,8 +119,7 @@ func TestWritePrometheus(t *testing.T) {
 	c := reg.Counter("labd_requests_total", "requests served", Label("endpoint", `POST /v1/asm/run`)+","+Label("status", "200"))
 	c.Add(7)
 	reg.Counter("labd_requests_total", "requests served", Label("endpoint", "GET /healthz")+","+Label("status", "200")).Add(2)
-	g := reg.Gauge("labd_jobs_active", "jobs running now", "")
-	g.Set(3)
+	reg.GaugeFunc("labd_jobs_active", "jobs running now", "", func() int64 { return 3 })
 	reg.GaugeFunc("labd_queue_len", "queued jobs", "", func() int64 { return 5 })
 	h := reg.Histogram("labd_request_duration_seconds", "request latency", Label("endpoint", "POST /v1/asm/run"), 4)
 	for i := 0; i < 100; i++ {
@@ -198,7 +197,8 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 // TestRegistryDedup: registering the same (name, labels) twice returns
-// the same underlying metric.
+// the same underlying metric, and a second scrape-time gauge keeps the
+// first one's series.
 func TestRegistryDedup(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", "x", "")
@@ -211,7 +211,9 @@ func TestRegistryDedup(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("histogram not deduped")
 	}
-	if g1, g2 := reg.Gauge("z", "z", ""), reg.Gauge("z", "z", ""); g1 != g2 {
-		t.Fatalf("gauge not deduped")
+	reg.GaugeFunc("z", "z", "", func() int64 { return 1 })
+	reg.GaugeFunc("z", "z", "", func() int64 { return 2 })
+	if ss := reg.byName["z"].series; len(ss) != 1 || ss[0].fn() != 1 {
+		t.Fatalf("gauge not deduped: %d series", len(ss))
 	}
 }

@@ -2,8 +2,8 @@
 // instant events recorded into per-lane lock-free bounded ring buffers
 // and exported as Chrome trace_event JSON (one lane per worker/rank, so
 // a run renders as a timeline in chrome://tracing or Perfetto), plus
-// counters, gauges, and power-of-two latency histograms rendered in
-// Prometheus text exposition.
+// counters, gauges read at scrape time, and power-of-two latency
+// histograms rendered in Prometheus text exposition.
 //
 // The design rule is zero overhead when disabled: every recording
 // method is safe on a nil receiver and returns immediately, so callers
